@@ -5,7 +5,8 @@
 // Usage:
 //
 //	mgs-run -app water -p 32 -c 4 [-delay 1000] [-pagesize 1024]
-//	        [-small] [-counters] [-no1w] [-parinv] [-update] [-lazy] [-mesh]
+//	        [-small] [-counters] [-no1w] [-parinv] [-update] [-lazy]
+//	        [-topology uniform|mesh|fattree|tiered]
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 
 	"mgs/internal/cli"
 	"mgs/internal/harness"
-	"mgs/internal/msg"
 	"mgs/internal/sim"
 	"mgs/internal/stats"
 )
@@ -30,7 +30,6 @@ func main() {
 		parinv   = flag.Bool("parinv", false, "parallel (not serial) release invalidations")
 		update   = flag.Bool("update", false, "update-based (not invalidate) release rounds")
 		lazy     = flag.Bool("lazy", false, "lazy (TreadMarks-style) instead of eager release consistency")
-		mesh     = flag.Bool("mesh", false, "contended 2D-mesh inter-SSMP network (250 cycles/hop)")
 	)
 	t.Parse()
 
@@ -41,10 +40,6 @@ func main() {
 	cfg.Protocol.SerialInv = !*parinv
 	cfg.Protocol.UpdateProtocol = *update
 	cfg.Protocol.LazyRelease = *lazy
-	if *mesh {
-		cfg.Msg.Topology = msg.NewMesh2D()
-		cfg.Msg.InterPerHop = 250
-	}
 
 	res, err := harness.RunApp(t.Apps()(t.App), cfg)
 	if err != nil {

@@ -184,3 +184,28 @@ func TestMutationOffClean(t *testing.T) {
 		t.Fatalf("upgrade-race did not reach fixpoint: %+v", res)
 	}
 }
+
+// TestDefaultSyncExplorationPinned pins the bounded exploration of the
+// default lock and barrier workloads. The state hash folds in the
+// synchronization dump text, so a change in protocol, message labels or
+// dump format shows up here as a different state or choice count.
+func TestDefaultSyncExplorationPinned(t *testing.T) {
+	want := map[string][3]int{ // runs, states, choices
+		"lock-token":   {11, 57, 462},
+		"barrier-tree": {18, 57, 396},
+	}
+	for name, w3 := range want {
+		w, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("no workload %q", name)
+		}
+		res, err := Explore(Options{Workload: w, MaxStates: 50000, MaxRuns: 10000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [3]int{res.Runs, res.States, res.Choices}; got != w3 || !res.Complete || res.Violation != nil {
+			t.Errorf("%s: runs/states/choices = %v complete=%v violation=%v, want %v complete",
+				name, got, res.Complete, res.Violation, w3)
+		}
+	}
+}

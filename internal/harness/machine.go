@@ -67,10 +67,10 @@ type Config struct {
 	// LockAlgo and BarrierAlgo name the synchronization algorithms from
 	// internal/msync/algo ("token", "ticket", "mcs", "tournament" /
 	// "tree", "sense", "dissemination", "mcstree", "tournament"). Empty
-	// or the default name keeps the native primitives — and the native
-	// fast paths in the parallel dispatcher; any other algorithm forces
-	// sequential event dispatch (its handlers share per-object state
-	// across SSMP shards).
+	// or the default name selects the token lock and tree barrier, the
+	// only ones the parallel dispatcher admits; any other algorithm
+	// forces sequential event dispatch (its handlers share per-object
+	// state across SSMP shards).
 	LockAlgo    string
 	BarrierAlgo string
 }
@@ -110,25 +110,13 @@ func WithEngineWorkers(n int) Option { return func(c *Config) { c.EngineWorkers 
 func WithTopology(t msg.Topology) Option { return func(c *Config) { c.Msg.Topology = t } }
 
 // WithLockAlgo selects the lock algorithm by name (algo.LockNames);
-// "" or "token" keeps the native two-level token lock.
+// "" or "token" selects the paper's token lock.
 func WithLockAlgo(name string) Option { return func(c *Config) { c.LockAlgo = name } }
 
 // WithBarrierAlgo selects the barrier algorithm by name
-// (algo.BarrierNames); "" or "tree" keeps the native two-level tree
+// (algo.BarrierNames); "" or "tree" selects the paper's two-level tree
 // barrier.
 func WithBarrierAlgo(name string) Option { return func(c *Config) { c.BarrierAlgo = name } }
-
-// WithInterMesh enables the contended 2D-mesh inter-SSMP network at the
-// given per-hop latency.
-//
-// Deprecated: use WithTopology(msg.NewMesh2D()) and set
-// Msg.InterPerHop, or rely on the InterDelay/4 default.
-func WithInterMesh(perHop sim.Time) Option {
-	return func(c *Config) {
-		c.Msg.InterMesh = true
-		c.Msg.InterPerHop = perHop
-	}
-}
 
 // NewConfig returns the calibrated configuration for a P-processor
 // machine with clusters of c processors and the paper's parameters —
@@ -160,12 +148,6 @@ func NewConfig(p, c int, opts ...Option) Config {
 	}
 	return cfg
 }
-
-// DefaultConfig returns the calibrated configuration for a P-processor
-// machine with clusters of c processors.
-//
-// Deprecated: use NewConfig, which takes functional options.
-func DefaultConfig(p, c int) Config { return NewConfig(p, c) }
 
 // Machine is one assembled DSSMP.
 type Machine struct {
@@ -215,8 +197,6 @@ func NewMachine(cfg Config) *Machine {
 		Disabled: cfg.Disabled,
 	})
 	m.DSM.Obs = cfg.Obs
-	m.Sync = msync.New(m.Eng, m.DSM, m.Net, st, m.Procs, cfg.Sync)
-	m.Sync.Obs = cfg.Obs
 	la, err := algo.LockByName(cfg.LockAlgo)
 	if err != nil {
 		panic("harness: " + err.Error())
@@ -225,9 +205,8 @@ func NewMachine(cfg Config) *Machine {
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
-	if la != nil || ba != nil {
-		m.Sync.SetAlgos(la, ba)
-	}
+	m.Sync = msync.New(m.Eng, m.DSM, m.Net, st, cfg.Sync, la, ba)
+	m.Sync.Obs = cfg.Obs
 	return m
 }
 
@@ -376,7 +355,7 @@ func (m *Machine) parallelOK() bool {
 	case !algo.IsDefaultLock(cfg.LockAlgo), !algo.IsDefaultBarrier(cfg.BarrierAlgo):
 		// Zoo algorithms keep per-object state (queues, brackets, round
 		// counters) that home-side handlers on different SSMPs mutate;
-		// only the native primitives are shard-annotated.
+		// only the token lock and tree barrier are shard-annotated.
 		return false
 	}
 	// The topology has the final word: contended topologies (Mesh2D,

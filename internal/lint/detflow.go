@@ -64,6 +64,11 @@ type taintResult struct {
 	diags      []taintDiag
 }
 
+// equal compares the parts of two summaries that form the fixpoint
+// lattice: bits and parameter indices. The reason strings are excluded
+// — through a recursive call a sink's reason can grow by one "(via ...)"
+// every round, so comparing it would never converge; the first reason
+// found is the one kept.
 func (r *taintResult) equal(o *taintResult) bool {
 	if r.retBits != o.retBits || len(r.propParams) != len(o.propParams) ||
 		len(r.sinkParams) != len(o.sinkParams) || len(r.diags) != len(o.diags) {
@@ -75,7 +80,7 @@ func (r *taintResult) equal(o *taintResult) bool {
 		}
 	}
 	for i := range r.sinkParams {
-		if r.sinkParams[i] != o.sinkParams[i] {
+		if r.sinkParams[i].Index != o.sinkParams[i].Index {
 			return false
 		}
 	}

@@ -67,3 +67,24 @@ func Local(e *sim.Engine, m map[int]int) {
 		e.At(sim.Time(k), func() {}) // want `map iteration order .*committed event order`
 	}
 }
+
+// Stepper's only visible implementation is wrap, which embeds it: the
+// class-hierarchy call graph makes (*wrap).Step call itself.
+type Stepper interface{ Step(p *sim.Proc, d sim.Time) }
+
+type wrap struct{ Stepper }
+
+// Step re-dispatches through the embedded interface before reaching
+// the sink. Its summary must converge even though every round offers a
+// longer "(via ...)" reason for the same sink parameter.
+func (w *wrap) Step(p *sim.Proc, d sim.Time) {
+	w.Stepper.Step(p, d)
+	p.Advance(d)
+}
+
+// Drive feeds map-order taint into the recursive summary.
+func Drive(p *sim.Proc, w *wrap, m map[int]int) {
+	for k := range m {
+		w.Step(p, sim.Time(k)) // want `map iteration order .*flows into charged cycles \(Proc\.Advance\) \(via core\.\(wrap\)\.Step\);`
+	}
+}

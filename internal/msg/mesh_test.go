@@ -10,7 +10,7 @@ import (
 func meshCosts() Costs {
 	return Costs{
 		SendOverhead: 10, HandlerEntry: 50, PerHop: 2, BytesPerCycle: 2,
-		InterOverhead: 100, InterMesh: true, InterPerHop: 200,
+		InterOverhead: 100, Topology: NewMesh2D(), InterPerHop: 200,
 		// InterDelay deliberately set to prove it is ignored in mesh mode.
 		InterDelay: 99999,
 	}
@@ -149,7 +149,7 @@ func TestMeshDeterministic(t *testing.T) {
 
 func TestMeshIntraSSMPUnaffected(t *testing.T) {
 	// With csize > 1, intra-SSMP messages must still use the intra mesh
-	// even when InterMesh is on.
+	// even when the inter-SSMP topology is a mesh.
 	eng := sim.NewEngine()
 	procs := make([]*sim.Proc, 8)
 	for i := range procs {

@@ -1,20 +1,23 @@
-// Package algo is the pluggable synchronization-algorithm zoo: lock and
-// barrier algorithms expressed purely as message sequences over the MGS
+// Package algo holds the synchronization algorithms: lock and barrier
+// protocols expressed purely as message sequences over the MGS
 // interconnect, selected by name through harness.WithLockAlgo /
-// WithBarrierAlgo (or the -lock / -barrier flags of every tool).
+// WithBarrierAlgo (or the -lock / -barrier flags of every tool). The
+// paper's own primitives, the token lock and the two-level tree barrier
+// (§3.2), are the defaults; the rest of the zoo (ticket, MCS and
+// tournament locks; sense-reversing, dissemination, MCS-tree and
+// tournament barriers) runs under the same contract.
 //
 // An algorithm never touches the memory system directly. msync.System
-// wraps every algorithm lock/barrier in a shim that runs the release-
-// consistency protocol actions (ReleaseAll before a release or barrier
-// arrival, AcquireSync after a grant or barrier exit) and the profiler
+// wraps every lock/barrier in a shim that runs the release-consistency
+// protocol actions (ReleaseAll before a release or barrier arrival,
+// AcquireSync after a grant or barrier exit) and the profiler
 // attribution, so an implementation here is only the ordering protocol:
 // who sends what to whom, who parks, who wakes. Every message is a real
 // msg.Network send — it pays interconnect latency on every topology,
 // rides the reliable transport under fault injection, and is a labeled
 // delivery the model checker can reorder.
 //
-// Cycle-charging rules (shared by every algorithm, matching the native
-// token lock and tree barrier):
+// Cycle-charging rules (shared by every algorithm):
 //
 //   - a processor-context operation charges Env.LockOp/BarrierOp to its
 //     category, plus Env.SendCost for each message the processor sends;
@@ -23,18 +26,13 @@
 //   - parked time is charged to the category on wake and observed into
 //     the lock.waitcycles / barrier.waitcycles histograms via
 //     Env.LockWaited / Env.BarrierWaited;
-//   - critical-section occupancy feeds Env.CountCS at release.
-//
-// The native algorithms keep their names here ("token", "tree") but map
-// to a nil LockAlgo/BarrierAlgo: msync runs its original code path,
-// byte-identical to a build that never heard of this package.
+//   - critical-section occupancy feeds Env.CountCS at release;
+//   - trace emission costs nothing simulated and is guarded by
+//     Env.Tracing, so an untraced run never builds the variadic
+//     arguments.
 package algo
 
-import (
-	"sort"
-
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
 // Env is the toolkit msync hands an algorithm: machine shape, cost
 // table, tagged message sends, and the accounting hooks that feed the
@@ -72,7 +70,16 @@ type Env interface {
 	// CountCS records one critical section of the given occupancy.
 	CountCS(held sim.Time)
 
-	// Trace emission (no simulated cost; inert without a sink).
+	// Handoff wakes the parked processor to from the running processor
+	// from of the same SSMP: an engine event pinned to to, scheduled d
+	// cycles after from's clock. The wake time is from's clock plus d as
+	// read when the event runs, so a releaser that ran ahead in the
+	// meantime delays the waiter's wake to match.
+	Handoff(from, to *sim.Proc, d sim.Time)
+
+	// Trace emission (no simulated cost). Tracing reports whether a sink
+	// is attached; call the emitters only when it is.
+	Tracing() bool
 	EmitLock(at sim.Time, proc, id int, name, format string, args ...any)
 	EmitBarrier(at sim.Time, proc, id int, name, format string, args ...any)
 }
@@ -85,6 +92,12 @@ type Lock interface {
 	// Stats reports hit/total acquire counts (Figure 11): a hit is an
 	// acquire granted without inter-SSMP communication.
 	Stats() (hits, total int64)
+	// Dump renders the protocol state deterministically (deadlock
+	// diagnosis; the model checker folds the text into its state hash).
+	Dump(f func(format string, args ...any))
+	// Quiescent reports an error unless the lock is idle: nobody holds
+	// or waits, no protocol message is outstanding.
+	Quiescent() error
 }
 
 // Barrier is one barrier instance: Arrive returns after every
@@ -92,6 +105,10 @@ type Lock interface {
 type Barrier interface {
 	Arrive(p *sim.Proc)
 	Episodes() int64
+	// Dump and Quiescent are as for Lock: idle means no partial episode
+	// and no waiter parked.
+	Dump(f func(format string, args ...any))
+	Quiescent() error
 }
 
 // LockAlgo builds lock instances. Name is the -lock flag spelling.
@@ -106,22 +123,8 @@ type BarrierAlgo interface {
 	NewBarrier(env Env, id, home int) Barrier
 }
 
-// Dumper is optionally implemented by locks and barriers that can
-// render their state deterministically (deadlock diagnosis and the
-// model checker's state hashing).
-type Dumper interface {
-	Dump(f func(format string, args ...any))
-}
-
-// Quiescer is optionally implemented by locks and barriers that can
-// check themselves idle: nothing held, no waiter parked, no protocol
-// message outstanding. The model checker runs it at end of run.
-type Quiescer interface {
-	Quiescent() error
-}
-
-// DefaultLock and DefaultBarrier name the native msync algorithms. They
-// resolve to a nil algo so msync keeps its original code path.
+// DefaultLock and DefaultBarrier name the paper's primitives, which
+// the empty name also selects.
 const (
 	DefaultLock    = "token"
 	DefaultBarrier = "tree"
@@ -130,23 +133,22 @@ const (
 // The registries are sorted literal slices, not maps, so every listing
 // is deterministic without an iteration-order laundering step.
 var (
-	lockAlgos    = []LockAlgo{MCS{}, Ticket{}, Tournament{}}
-	barrierAlgos = []BarrierAlgo{Dissemination{}, MCSTree{}, Sense{}, TournamentBarrier{}}
+	lockAlgos    = []LockAlgo{MCS{}, Ticket{}, Token{}, Tournament{}}
+	barrierAlgos = []BarrierAlgo{Dissemination{}, MCSTree{}, Sense{}, TournamentBarrier{}, Tree{}}
 )
 
-// IsDefaultLock reports whether name selects the native token lock
-// (empty means default).
+// IsDefaultLock reports whether name selects the token lock (empty
+// means default).
 func IsDefaultLock(name string) bool { return name == "" || name == DefaultLock }
 
-// IsDefaultBarrier reports whether name selects the native tree
-// barrier (empty means default).
+// IsDefaultBarrier reports whether name selects the tree barrier (empty
+// means default).
 func IsDefaultBarrier(name string) bool { return name == "" || name == DefaultBarrier }
 
-// LockByName resolves a -lock selection. The default names return
-// (nil, nil): the caller keeps the native path.
+// LockByName resolves a -lock selection.
 func LockByName(name string) (LockAlgo, error) {
 	if IsDefaultLock(name) {
-		return nil, nil
+		name = DefaultLock
 	}
 	for _, a := range lockAlgos {
 		if a.Name() == name {
@@ -156,11 +158,10 @@ func LockByName(name string) (LockAlgo, error) {
 	return nil, &UnknownError{Kind: "lock", Name: name, Known: LockNames()}
 }
 
-// BarrierByName resolves a -barrier selection. The default names
-// return (nil, nil): the caller keeps the native path.
+// BarrierByName resolves a -barrier selection.
 func BarrierByName(name string) (BarrierAlgo, error) {
 	if IsDefaultBarrier(name) {
-		return nil, nil
+		name = DefaultBarrier
 	}
 	for _, a := range barrierAlgos {
 		if a.Name() == name {
@@ -170,23 +171,21 @@ func BarrierByName(name string) (BarrierAlgo, error) {
 	return nil, &UnknownError{Kind: "barrier", Name: name, Known: BarrierNames()}
 }
 
-// LockNames lists every lock algorithm, default included, sorted.
+// LockNames lists every lock algorithm, sorted.
 func LockNames() []string {
-	names := []string{DefaultLock}
+	var names []string
 	for _, a := range lockAlgos {
 		names = append(names, a.Name())
 	}
-	sort.Strings(names)
 	return names
 }
 
-// BarrierNames lists every barrier algorithm, default included, sorted.
+// BarrierNames lists every barrier algorithm, sorted.
 func BarrierNames() []string {
-	names := []string{DefaultBarrier}
+	var names []string
 	for _, a := range barrierAlgos {
 		names = append(names, a.Name())
 	}
-	sort.Strings(names)
 	return names
 }
 

@@ -64,7 +64,9 @@ func (b *dissemBarrier) Arrive(p *sim.Proc) {
 	e.ChargeBarrier(p, e.BarrierOp())
 	s := e.SSMPOf(p.ID)
 	if last, when := b.nodes[s].g.arrive(p, e.ClusterSize()); last {
-		e.EmitBarrier(when, p.ID, b.id, "DSM.LOCAL", "ssmp=%d", s)
+		if e.Tracing() {
+			e.EmitBarrier(when, p.ID, b.id, "DSM.LOCAL", "ssmp=%d", s)
+		}
 		e.ChargeBarrier(p, e.SendCost())
 		e.Send("DSM.LOCAL", b.id, p.ID, e.RepProc(s, b.id), when, int64(s), e.BarrierOp(),
 			func(at sim.Time) { b.onLocal(s, at) })
@@ -97,7 +99,9 @@ func (b *dissemBarrier) advance(s int, at sim.Time) {
 	}
 	for {
 		if n.round == b.rounds {
-			e.EmitBarrier(at, -1, b.id, "DSM.DONE", "ssmp=%d episode=%d", s, n.episode+1)
+			if e.Tracing() {
+				e.EmitBarrier(at, -1, b.id, "DSM.DONE", "ssmp=%d episode=%d", s, n.episode+1)
+			}
 			n.g.release(at, e.BarrierOp())
 			n.episode++
 			n.localDone = false
@@ -125,7 +129,7 @@ func (b *dissemBarrier) advance(s int, at sim.Time) {
 // Episodes implements Barrier.
 func (b *dissemBarrier) Episodes() int64 { return b.nodes[0].episode }
 
-// Dump implements Dumper.
+// Dump implements Barrier.
 func (b *dissemBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=dissemination rounds=%d", b.id, b.rounds)
 	for s := range b.nodes {
@@ -140,7 +144,7 @@ func (b *dissemBarrier) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements Barrier.
 func (b *dissemBarrier) Quiescent() error {
 	for s := range b.nodes {
 		n := &b.nodes[s]

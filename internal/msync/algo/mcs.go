@@ -75,7 +75,9 @@ func (l *mcsLock) Acquire(p *sim.Proc) {
 	n := &l.node[p.ID]
 	n.seq++
 	seq := n.seq
-	e.EmitLock(p.Clock(), p.ID, l.id, "MCS.SWAP", "proc=%d seq=%d", p.ID, seq)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "MCS.SWAP", "proc=%d seq=%d", p.ID, seq)
+	}
 	e.ChargeLock(p, e.SendCost())
 	e.Send("MCS.SWAP", l.id, p.ID, l.home, p.Clock(), seq, e.TokenWork(),
 		func(at sim.Time) { l.onSwap(p, seq, at) })
@@ -91,7 +93,9 @@ func (l *mcsLock) onSwap(p *sim.Proc, seq int64, at sim.Time) {
 	e := l.env
 	prev, prevSeq := l.tail, l.tailSeq
 	l.tail, l.tailSeq = p.ID, seq
-	e.EmitLock(at, -1, l.id, "MCS.TAIL", "proc=%d seq=%d prev=%d", p.ID, seq, prev)
+	if e.Tracing() {
+		e.EmitLock(at, -1, l.id, "MCS.TAIL", "proc=%d seq=%d prev=%d", p.ID, seq, prev)
+	}
 	if prev < 0 {
 		e.Send("MCS.GRANT", l.id, l.home, p.ID, at, seq, e.TokenWork(),
 			func(at2 sim.Time) { l.wake(p, l.home, at2) })
@@ -132,7 +136,9 @@ func (l *mcsLock) takeSucc(pid int, seq int64) (*sim.Proc, bool) {
 // pass sends the lock from processor from to successor succ.
 func (l *mcsLock) pass(from int, succ *sim.Proc, at sim.Time) {
 	e := l.env
-	e.EmitLock(at, -1, l.id, "MCS.PASS", "from=%d to=%d", from, succ.ID)
+	if e.Tracing() {
+		e.EmitLock(at, -1, l.id, "MCS.PASS", "from=%d to=%d", from, succ.ID)
+	}
 	e.Send("MCS.PASS", l.id, from, succ.ID, at, int64(succ.ID), e.TokenWork(),
 		func(at2 sim.Time) { l.wake(succ, from, at2) })
 }
@@ -163,7 +169,9 @@ func (l *mcsLock) Release(p *sim.Proc) {
 		l.pass(p.ID, succ, p.Clock())
 		return
 	}
-	e.EmitLock(p.Clock(), p.ID, l.id, "MCS.REL", "proc=%d seq=%d", p.ID, seq)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "MCS.REL", "proc=%d seq=%d", p.ID, seq)
+	}
 	e.ChargeLock(p, e.SendCost())
 	e.Send("MCS.REL", l.id, p.ID, l.home, p.Clock(), seq, e.TokenWork(),
 		func(at sim.Time) { l.onRel(p.ID, seq, at) })
@@ -177,7 +185,9 @@ func (l *mcsLock) onRel(pid int, seq int64, at sim.Time) {
 	e := l.env
 	if l.tail == pid && l.tailSeq == seq {
 		l.tail, l.tailSeq = -1, 0
-		e.EmitLock(at, -1, l.id, "MCS.FREE", "proc=%d", pid)
+		if e.Tracing() {
+			e.EmitLock(at, -1, l.id, "MCS.FREE", "proc=%d", pid)
+		}
 		return
 	}
 	e.Send("MCS.MUSTPASS", l.id, l.home, pid, at, seq, e.TokenWork(),
@@ -201,7 +211,7 @@ func (l *mcsLock) Stats() (hits, total int64) {
 	return atomic.LoadInt64(&l.hits), atomic.LoadInt64(&l.total)
 }
 
-// Dump implements Dumper.
+// Dump implements Lock.
 func (l *mcsLock) Dump(f func(format string, args ...any)) {
 	f("lock=%d algo=mcs home=%d tail=%d tailSeq=%d", l.id, l.home, l.tail, l.tailSeq)
 	for i := range l.node {
@@ -216,7 +226,7 @@ func (l *mcsLock) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements Lock.
 func (l *mcsLock) Quiescent() error {
 	if l.tail >= 0 {
 		return quiesceErrf("lock %d (mcs): tail=%d (held or handoff in flight)", l.id, l.tail)

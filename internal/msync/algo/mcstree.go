@@ -60,7 +60,9 @@ func (b *mcsTreeBarrier) Arrive(p *sim.Proc) {
 	e.ChargeBarrier(p, e.BarrierOp())
 	s := e.SSMPOf(p.ID)
 	if last, when := b.nodes[s].g.arrive(p, e.ClusterSize()); last {
-		e.EmitBarrier(when, p.ID, b.id, "MCT.LOCAL", "ssmp=%d", s)
+		if e.Tracing() {
+			e.EmitBarrier(when, p.ID, b.id, "MCT.LOCAL", "ssmp=%d", s)
+		}
 		e.ChargeBarrier(p, e.SendCost())
 		e.Send("MCT.LOCAL", b.id, p.ID, e.RepProc(s, b.id), when, int64(s), e.BarrierOp(),
 			func(at sim.Time) { b.onLocal(s, at) })
@@ -94,7 +96,9 @@ func (b *mcsTreeBarrier) check(s int, at sim.Time) {
 	n.kidsIn = 0
 	if s == 0 {
 		b.episodes++
-		e.EmitBarrier(at, -1, b.id, "MCT.ROOT", "episode=%d", b.episodes)
+		if e.Tracing() {
+			e.EmitBarrier(at, -1, b.id, "MCT.ROOT", "episode=%d", b.episodes)
+		}
 		b.wake(0, at)
 		return
 	}
@@ -121,7 +125,7 @@ func (b *mcsTreeBarrier) wake(s int, at sim.Time) {
 // Episodes implements Barrier.
 func (b *mcsTreeBarrier) Episodes() int64 { return b.episodes }
 
-// Dump implements Dumper.
+// Dump implements Barrier.
 func (b *mcsTreeBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=mcstree episodes=%d", b.id, b.episodes)
 	for s := range b.nodes {
@@ -136,7 +140,7 @@ func (b *mcsTreeBarrier) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements Barrier.
 func (b *mcsTreeBarrier) Quiescent() error {
 	for s := range b.nodes {
 		n := &b.nodes[s]

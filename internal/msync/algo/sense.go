@@ -44,7 +44,9 @@ func (b *senseBarrier) Arrive(p *sim.Proc) {
 	e := b.env
 	e.ChargeBarrier(p, e.BarrierOp())
 	b.waiting[p.ID] = p
-	e.EmitBarrier(p.Clock(), p.ID, b.id, "SNS.ARRIVE", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitBarrier(p.Clock(), p.ID, b.id, "SNS.ARRIVE", "proc=%d", p.ID)
+	}
 	e.ChargeBarrier(p, e.SendCost())
 	e.Send("SNS.ARRIVE", b.id, p.ID, b.home, p.Clock(), int64(p.ID), e.BarrierOp(),
 		func(at sim.Time) { b.onArrive(at) })
@@ -57,7 +59,9 @@ func (b *senseBarrier) Arrive(p *sim.Proc) {
 func (b *senseBarrier) onArrive(at sim.Time) {
 	e := b.env
 	b.arrived++
-	e.EmitBarrier(at, -1, b.id, "SNS.COUNT", "arrived=%d/%d", b.arrived, e.NProcs())
+	if e.Tracing() {
+		e.EmitBarrier(at, -1, b.id, "SNS.COUNT", "arrived=%d/%d", b.arrived, e.NProcs())
+	}
 	if b.arrived < e.NProcs() {
 		return
 	}
@@ -83,7 +87,7 @@ func (b *senseBarrier) onRelease(i int, at sim.Time) {
 // Episodes implements Barrier.
 func (b *senseBarrier) Episodes() int64 { return b.episodes }
 
-// Dump implements Dumper.
+// Dump implements Barrier.
 func (b *senseBarrier) Dump(f func(format string, args ...any)) {
 	var ws []int
 	for i, p := range b.waiting {
@@ -94,7 +98,7 @@ func (b *senseBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=sense home=%d arrived=%d waiting=%v", b.id, b.home, b.arrived, ws)
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements Barrier.
 func (b *senseBarrier) Quiescent() error {
 	if b.arrived != 0 {
 		return quiesceErrf("barrier %d (sense): %d arrivals uncounted", b.id, b.arrived)

@@ -52,7 +52,9 @@ func (l *ticketLock) Acquire(p *sim.Proc) {
 	e := l.env
 	atomic.AddInt64(&l.total, 1)
 	e.ChargeLock(p, e.LockOp())
-	e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REQ", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REQ", "proc=%d", p.ID)
+	}
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TKT.REQ", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
 		func(at sim.Time) { l.onReq(p, at) })
@@ -66,7 +68,9 @@ func (l *ticketLock) Acquire(p *sim.Proc) {
 func (l *ticketLock) onReq(p *sim.Proc, at sim.Time) {
 	t := l.nextTicket
 	l.nextTicket++
-	l.env.EmitLock(at, -1, l.id, "TKT.DRAW", "proc=%d ticket=%d serving=%d", p.ID, t, l.nowServing)
+	if l.env.Tracing() {
+		l.env.EmitLock(at, -1, l.id, "TKT.DRAW", "proc=%d ticket=%d serving=%d", p.ID, t, l.nowServing)
+	}
 	if t == l.nowServing {
 		l.grant(p, at)
 		return
@@ -77,7 +81,9 @@ func (l *ticketLock) onReq(p *sim.Proc, at sim.Time) {
 // grant runs at the home: send the lock to p.
 func (l *ticketLock) grant(p *sim.Proc, at sim.Time) {
 	e := l.env
-	e.EmitLock(at, -1, l.id, "TKT.GRANT", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitLock(at, -1, l.id, "TKT.GRANT", "proc=%d", p.ID)
+	}
 	e.Send("TKT.GRANT", l.id, l.home, p.ID, at, int64(p.ID), e.TokenWork(),
 		func(at2 sim.Time) { l.onGrant(p, at2) })
 }
@@ -102,7 +108,9 @@ func (l *ticketLock) Release(p *sim.Proc) {
 	if l.heldSince > 0 {
 		e.CountCS(p.Clock() - l.heldSince)
 	}
-	e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REL", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REL", "proc=%d", p.ID)
+	}
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TKT.REL", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
 		func(at sim.Time) { l.onRel(at) })
@@ -124,7 +132,7 @@ func (l *ticketLock) Stats() (hits, total int64) {
 	return atomic.LoadInt64(&l.hits), atomic.LoadInt64(&l.total)
 }
 
-// Dump implements Dumper.
+// Dump implements Lock.
 func (l *ticketLock) Dump(f func(format string, args ...any)) {
 	var q []int
 	for _, p := range l.queue {
@@ -133,7 +141,7 @@ func (l *ticketLock) Dump(f func(format string, args ...any)) {
 	f("lock=%d algo=ticket home=%d next=%d serving=%d queue=%v", l.id, l.home, l.nextTicket, l.nowServing, q)
 }
 
-// Quiescent implements Quiescer: every drawn ticket must be served and
+// Quiescent implements Lock: every drawn ticket must be served and
 // released.
 func (l *ticketLock) Quiescent() error {
 	if len(l.queue) > 0 {

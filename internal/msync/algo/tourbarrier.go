@@ -75,7 +75,9 @@ func (b *tourBarrier) Arrive(p *sim.Proc) {
 	e.ChargeBarrier(p, e.BarrierOp())
 	s := e.SSMPOf(p.ID)
 	if last, when := b.nodes[s].g.arrive(p, e.ClusterSize()); last {
-		e.EmitBarrier(when, p.ID, b.id, "TNB.LOCAL", "ssmp=%d", s)
+		if e.Tracing() {
+			e.EmitBarrier(when, p.ID, b.id, "TNB.LOCAL", "ssmp=%d", s)
+		}
 		e.ChargeBarrier(p, e.SendCost())
 		e.Send("TNB.LOCAL", b.id, p.ID, e.RepProc(s, b.id), when, int64(s), e.BarrierOp(),
 			func(at sim.Time) { b.onLocal(s, at) })
@@ -116,7 +118,9 @@ func (b *tourBarrier) advance(s int, at sim.Time) {
 			n.round = 0
 			if s == 0 {
 				b.episodes++
-				e.EmitBarrier(at, -1, b.id, "TNB.CHAMPION", "episode=%d", b.episodes)
+				if e.Tracing() {
+					e.EmitBarrier(at, -1, b.id, "TNB.CHAMPION", "episode=%d", b.episodes)
+				}
 				b.wake(s, at)
 				return
 			}
@@ -150,7 +154,7 @@ func (b *tourBarrier) wake(s int, at sim.Time) {
 // Episodes implements Barrier.
 func (b *tourBarrier) Episodes() int64 { return b.episodes }
 
-// Dump implements Dumper.
+// Dump implements Barrier.
 func (b *tourBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=tournament rounds=%d episodes=%d", b.id, b.rounds, b.episodes)
 	for s := range b.nodes {
@@ -165,7 +169,7 @@ func (b *tourBarrier) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements Barrier.
 func (b *tourBarrier) Quiescent() error {
 	for s := range b.nodes {
 		n := &b.nodes[s]

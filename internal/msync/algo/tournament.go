@@ -101,7 +101,9 @@ func (l *tourLock) Acquire(p *sim.Proc) {
 	ni := l.leaf[s]
 	to := e.RepProc(l.nodes[ni].host, l.id)
 	w := tourWaiter{p: p, crossed: e.SSMPOf(p.ID) != e.SSMPOf(to)}
-	e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.ENTER", "proc=%d leaf=%d", p.ID, ni)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.ENTER", "proc=%d leaf=%d", p.ID, ni)
+	}
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TOUR.ACQ", l.id, p.ID, to, p.Clock(), int64(ni), e.TokenWork(),
 		func(at sim.Time) { l.arrive(w, ni, at) })
@@ -129,7 +131,9 @@ func (l *tourLock) ascend(w tourWaiter, ni int, at sim.Time) {
 	if n.parent < 0 {
 		from := e.RepProc(n.host, l.id)
 		crossed := w.crossed || e.SSMPOf(from) != e.SSMPOf(w.p.ID)
-		e.EmitLock(at, -1, l.id, "TOUR.GRANT", "proc=%d crossed=%v", w.p.ID, crossed)
+		if e.Tracing() {
+			e.EmitLock(at, -1, l.id, "TOUR.GRANT", "proc=%d crossed=%v", w.p.ID, crossed)
+		}
 		e.Send("TOUR.GRANTMSG", l.id, from, w.p.ID, at, int64(w.p.ID), e.TokenWork(),
 			func(at2 sim.Time) { l.grant(w.p, crossed, at2) })
 		return
@@ -162,7 +166,9 @@ func (l *tourLock) Release(p *sim.Proc) {
 	if l.heldSince > 0 {
 		e.CountCS(p.Clock() - l.heldSince)
 	}
-	e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.REL", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.REL", "proc=%d", p.ID)
+	}
 	for ni := l.leaf[e.SSMPOf(p.ID)]; ni >= 0; ni = l.nodes[ni].parent {
 		ni := ni
 		to := e.RepProc(l.nodes[ni].host, l.id)
@@ -190,7 +196,7 @@ func (l *tourLock) Stats() (hits, total int64) {
 	return atomic.LoadInt64(&l.hits), atomic.LoadInt64(&l.total)
 }
 
-// Dump implements Dumper.
+// Dump implements Lock.
 func (l *tourLock) Dump(f func(format string, args ...any)) {
 	f("lock=%d algo=tournament nodes=%d", l.id, len(l.nodes))
 	for ni := range l.nodes {
@@ -205,7 +211,7 @@ func (l *tourLock) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements Lock.
 func (l *tourLock) Quiescent() error {
 	for ni := range l.nodes {
 		n := &l.nodes[ni]

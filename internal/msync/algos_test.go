@@ -7,34 +7,30 @@ import (
 	"mgs/internal/sim"
 )
 
-// lockAlgoUnderTest resolves name to a factory (nil = native token).
-func lockAlgoUnderTest(t *testing.T, name string) algo.LockAlgo {
+// algoTest builds a machine whose locks and barriers run the named
+// algorithms ("" selects the default).
+func algoTest(t *testing.T, lock, barrier string, p, c int, delay sim.Time) *testMachine {
 	t.Helper()
-	la, err := algo.LockByName(name)
+	la, err := algo.LockByName(lock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return la
-}
-
-func barrierAlgoUnderTest(t *testing.T, name string) algo.BarrierAlgo {
-	t.Helper()
-	ba, err := algo.BarrierByName(name)
+	ba, err := algo.BarrierByName(barrier)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ba
+	return buildTestWith(p, c, delay, la, ba)
 }
 
-// TestAlgoLockMutualExclusion drives every lock algorithm through the
-// round-robin contention scenario the native lock is tested with:
-// mutual exclusion, an exact protected count, and no starvation.
+// TestAlgoLockMutualExclusion drives every lock algorithm through a
+// round-robin contention scenario across four SSMPs: mutual exclusion,
+// an exact protected count, no starvation, and a hit count strictly
+// between none and all.
 func TestAlgoLockMutualExclusion(t *testing.T) {
 	const per = 6
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
-			tm := buildTest(8, 2, 800)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), nil)
+			tm := algoTest(t, name, "", 8, 2, 800)
 			l := tm.sync.Lock(3)
 			var held, violations, count int
 			got := make([]int, 8)
@@ -72,8 +68,8 @@ func TestAlgoLockMutualExclusion(t *testing.T) {
 			if total != 8*per {
 				t.Fatalf("total = %d, want %d", total, 8*per)
 			}
-			if hits < 0 || hits > total {
-				t.Fatalf("hits = %d out of range [0, %d]", hits, total)
+			if hits < 1 || hits >= total {
+				t.Fatalf("hits = %d of %d; expected some SSMP-local acquires and some remote ones", hits, total)
 			}
 			if err := tm.sync.Quiescent(); err != nil {
 				t.Fatalf("not quiescent after run: %v", err)
@@ -87,8 +83,7 @@ func TestAlgoLockMutualExclusion(t *testing.T) {
 func TestAlgoLockSingleSSMPAllHits(t *testing.T) {
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
-			tm := buildTest(4, 4, 0)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), nil)
+			tm := algoTest(t, name, "", 4, 4, 0)
 			l := tm.sync.Lock(0)
 			for i := 0; i < 4; i++ {
 				tm.bodies[i] = func(p *sim.Proc) {
@@ -113,14 +108,16 @@ func TestAlgoLockSingleSSMPAllHits(t *testing.T) {
 func TestAlgoLockReleaseFlushesDUQ(t *testing.T) {
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
-			tm := buildTest(4, 2, 500)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), nil)
+			tm := algoTest(t, name, "", 4, 2, 500)
 			va := tm.dsm.Space().AllocPages(1024)
 			l := tm.sync.Lock(0)
 			tm.bodies[2] = func(p *sim.Proc) { // SSMP 1, page home SSMP 0
 				l.Acquire(p)
 				f, off := tm.dsm.Access(p, va, true, false)
 				f.Store64(off, 77)
+				if tm.dsm.DUQLen(p.ID) != 1 {
+					t.Errorf("DUQ len = %d before release, want 1", tm.dsm.DUQLen(p.ID))
+				}
 				l.Release(p)
 				if tm.dsm.DUQLen(p.ID) != 0 {
 					t.Errorf("DUQ len = %d after release, want 0", tm.dsm.DUQLen(p.ID))
@@ -141,8 +138,7 @@ func TestAlgoBarrierSynchronizes(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
 			for _, c := range []int{1, 2, 4, 8} {
-				tm := buildTest(8, c, 600)
-				tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
+				tm := algoTest(t, "", name, 8, c, 600)
 				b := tm.sync.Barrier(0)
 				phase := make([]int, 8)
 				for i := 0; i < 8; i++ {
@@ -172,28 +168,33 @@ func TestAlgoBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-// TestAlgoBarrierRunAheadStraggler: no one may leave the barrier before
-// the straggler's virtual arrival time, for any algorithm.
+// TestAlgoBarrierRunAheadStraggler: under direct execution a processor
+// can run far ahead of the others between yields (Advance does not
+// yield) and arrive at the barrier first in ENGINE order while being
+// last in VIRTUAL time. No one may leave the barrier before the
+// straggler's virtual arrival, for any algorithm and whether the
+// barrier's home is in the straggler's SSMP or a peer's.
 func TestAlgoBarrierRunAheadStraggler(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
-			tm := buildTest(4, 2, 500)
-			tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
-			after := make([]sim.Time, 4)
-			for i := 0; i < 4; i++ {
-				i := i
-				tm.bodies[i] = func(p *sim.Proc) {
-					if i == 0 {
-						p.Advance(300_000) // run-ahead: no yield before arrival
+			for _, id := range []int{0, 1, 2} {
+				tm := algoTest(t, "", name, 4, 2, 500)
+				after := make([]sim.Time, 4)
+				for i := 0; i < 4; i++ {
+					i := i
+					tm.bodies[i] = func(p *sim.Proc) {
+						if i == 0 {
+							p.Advance(300_000) // run-ahead: no yield before arrival
+						}
+						tm.sync.Barrier(id).Arrive(p)
+						after[i] = p.Clock()
 					}
-					tm.sync.Barrier(0).Arrive(p)
-					after[i] = p.Clock()
 				}
-			}
-			tm.run(t)
-			for i, v := range after {
-				if v < 300_000 {
-					t.Fatalf("proc %d left barrier at %d, before the straggler's 300000", i, v)
+				tm.run(t)
+				for i, v := range after {
+					if v < 300_000 {
+						t.Fatalf("barrier %d: proc %d left at %d, before the straggler's 300000", id, i, v)
+					}
 				}
 			}
 		})
@@ -205,8 +206,7 @@ func TestAlgoBarrierRunAheadStraggler(t *testing.T) {
 func TestAlgoBarrierIsReleasePoint(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
-			tm := buildTest(4, 2, 500)
-			tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
+			tm := algoTest(t, "", name, 4, 2, 500)
 			va := tm.dsm.Space().AllocPages(1024)
 			b := tm.sync.Barrier(0)
 			var got uint64
@@ -238,8 +238,7 @@ func TestAlgoBarrierIsReleasePoint(t *testing.T) {
 func TestAlgoBarrierOddSSMPCount(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
-			tm := buildTest(6, 2, 400) // 3 SSMPs
-			tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
+			tm := algoTest(t, "", name, 6, 2, 400) // 3 SSMPs
 			b := tm.sync.Barrier(1)
 			for i := 0; i < 6; i++ {
 				i := i
@@ -283,8 +282,7 @@ func TestAlgoPinnedContentionScript(t *testing.T) {
 	}
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
-			tm := buildTest(4, 2, 600)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), nil)
+			tm := algoTest(t, name, "", 4, 2, 600)
 			l := tm.sync.Lock(0)
 			for i := 0; i < 4; i++ {
 				i := i
@@ -316,8 +314,7 @@ func TestAlgoPinnedContentionScript(t *testing.T) {
 func TestAlgoBarrierWaitHistogram(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
-			tm := buildTest(8, 2, 600)
-			tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
+			tm := algoTest(t, "", name, 8, 2, 600)
 			b := tm.sync.Barrier(0)
 			for i := 0; i < 8; i++ {
 				i := i
@@ -338,17 +335,4 @@ func TestAlgoBarrierWaitHistogram(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSetAlgosAfterUsePanics: algorithms are a machine-wide choice and
-// cannot change once a primitive exists.
-func TestSetAlgosAfterUsePanics(t *testing.T) {
-	tm := buildTest(4, 2, 500)
-	tm.sync.Lock(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetAlgos after Lock() did not panic")
-		}
-	}()
-	tm.sync.SetAlgos(algo.Ticket{}, nil)
 }

@@ -57,6 +57,15 @@ func (e algoEnv) CountCS(held sim.Time) {
 	e.m.st.Count("lock.cs", 1)
 }
 
+// Handoff keeps the wake a separate engine event pinned to the waiter
+// (same SSMP as the releaser), so a local handoff never looks like a
+// cross-shard event to the parallel dispatcher.
+func (e algoEnv) Handoff(from, to *sim.Proc, d sim.Time) {
+	e.m.eng.AtOn(to, from.Clock()+d, func() { to.Wake(from.Clock() + d) })
+}
+
+func (e algoEnv) Tracing() bool { return e.m.Obs.Tracing() }
+
 func (e algoEnv) EmitLock(at sim.Time, proc, id int, name, format string, args ...any) {
 	e.m.emitSync(at, proc, obs.ObjLock, id, name, format, args...)
 }
@@ -65,83 +74,58 @@ func (e algoEnv) EmitBarrier(at sim.Time, proc, id int, name, format string, arg
 	e.m.emitSync(at, proc, obs.ObjBarrier, id, name, format, args...)
 }
 
-// algoLock wraps an algorithm lock with the protocol actions the native
-// token lock performs inline: the ordering yield, the profiler's
-// per-lock attribution window, the release-consistency flush before a
-// release, and the acquire-side validation after a grant. Algorithms
-// stay pure ordering protocols.
+// algoLock wraps an algorithm lock with the protocol actions every
+// lock shares: the ordering yield, the profiler's per-lock attribution
+// window, the release-consistency flush before a release, and the
+// acquire-side validation after a grant. Algorithms stay pure ordering
+// protocols.
 type algoLock struct {
-	m    *System
-	id   int
-	impl algo.Lock
+	algo.Lock
+	m  *System
+	id int
 }
 
+// Acquire blocks processor p until it holds the lock. Time spent is
+// attributed to the Lock category.
 func (l *algoLock) Acquire(p *sim.Proc) {
 	m := l.m
+	// Synchronization operations are ordering-relevant: yield so every
+	// event at or before this processor's clock settles first (and so a
+	// spin loop of local acquires cannot starve the engine).
 	p.Yield()
 	pk, pid := m.st.ProfSet(p.ID, obs.ObjLock, int64(l.id))
 	defer m.st.ProfSet(p.ID, pk, pid)
-	l.impl.Acquire(p)
+	l.Lock.Acquire(p)
 	m.dsm.AcquireSync(p) // lazy-release acquire-side coherence
 }
 
+// Release drains the caller's delayed update queue (the release-
+// consistency flush — this is where critical sections dilate under
+// software coherence) and then lets the algorithm pass the lock on.
 func (l *algoLock) Release(p *sim.Proc) {
 	m := l.m
 	p.Yield()
 	pk, pid := m.st.ProfSet(p.ID, obs.ObjLock, int64(l.id))
 	defer m.st.ProfSet(p.ID, pk, pid)
 	m.dsm.ReleaseAll(p) // release-consistency flush (CS dilation)
-	l.impl.Release(p)
-}
-
-func (l *algoLock) Stats() (hits, total int64) { return l.impl.Stats() }
-
-func (l *algoLock) Dump(f func(format string, args ...any)) {
-	if d, ok := l.impl.(algo.Dumper); ok {
-		d.Dump(f)
-		return
-	}
-	f("lock=%d (no state dump)", l.id)
-}
-
-func (l *algoLock) Quiescent() error {
-	if q, ok := l.impl.(algo.Quiescer); ok {
-		return q.Quiescent()
-	}
-	return nil
+	l.Lock.Release(p)
 }
 
 // algoBarrier is the barrier-side shim: arrival is a release point
 // (drain the delayed update queue first) and exit an acquire point.
 type algoBarrier struct {
-	m    *System
-	id   int
-	impl algo.Barrier
+	algo.Barrier
+	m  *System
+	id int
 }
 
+// Arrive blocks processor p until all processors have arrived.
 func (b *algoBarrier) Arrive(p *sim.Proc) {
 	m := b.m
 	p.Yield() // surface run-ahead before taking part in ordering
 	pk, pid := m.st.ProfSet(p.ID, obs.ObjBarrier, int64(b.id))
 	defer m.st.ProfSet(p.ID, pk, pid)
 	m.dsm.ReleaseAll(p)
-	b.impl.Arrive(p)
+	b.Barrier.Arrive(p)
 	m.dsm.AcquireSync(p) // a barrier exit is an acquire (lazy release)
-}
-
-func (b *algoBarrier) Episodes() int64 { return b.impl.Episodes() }
-
-func (b *algoBarrier) Dump(f func(format string, args ...any)) {
-	if d, ok := b.impl.(algo.Dumper); ok {
-		d.Dump(f)
-		return
-	}
-	f("barrier=%d (no state dump)", b.id)
-}
-
-func (b *algoBarrier) Quiescent() error {
-	if q, ok := b.impl.(algo.Quiescer); ok {
-		return q.Quiescent()
-	}
-	return nil
 }

@@ -2,32 +2,24 @@
 // §3.2): primitives that know the DSSMP hierarchy and contain
 // communication within an SSMP whenever possible.
 //
-// The barrier is a two-level tree: processors first combine inside
-// their SSMP through hardware shared memory, then one COMBINE message
-// per SSMP reaches the barrier's home, which answers with one RELEASE
-// message per SSMP — the minimum two inter-SSMP messages per SSMP.
+// Every lock and barrier runs one algorithm from the msync/algo
+// package, chosen machine-wide when the System is built: by default the
+// paper's token lock (a local lock per SSMP plus a global token home;
+// the token moves only when consecutive acquires come from different
+// SSMPs) and two-level tree barrier (local combine, then one COMBINE and
+// one RELEASE message per SSMP). The lock hit ratio (acquires needing
+// no inter-SSMP communication / all acquires) is the paper's Figure 11
+// metric.
 //
-// The lock is token-based and distributed: each lock is a local lock
-// per SSMP plus a single global lock (the token home). Acquires succeed
-// locally while the SSMP owns the token; only when consecutive acquires
-// come from different SSMPs does the token move, via the global home.
-// The lock hit ratio (acquires needing no inter-SSMP communication /
-// all acquires) is the paper's Figure 11 metric.
-//
-// Both primitives are release points: they drain the caller's delayed
-// update queue through core.System.ReleaseAll before publishing the
-// release or barrier arrival — which is exactly where the paper's
-// critical-section dilation comes from. Under the lazy-release
-// extension they are acquire points too: every lock grant and barrier
-// exit runs core.System.AcquireSync to validate the acquiring SSMP's
-// copies against the home versions.
-//
-// The algorithms above are the defaults. SetAlgos swaps in any
-// algorithm from the msync/algo zoo (ticket, MCS, tournament locks;
-// sense-reversing, dissemination, MCS-tree, tournament barriers); the
-// release-consistency prologue/epilogue and the profiler attribution
-// stay with System, so every algorithm pays the same coherence costs
-// the defaults do.
+// System wraps each algorithm's primitive in one shim that makes it a
+// release point: the caller's delayed update queue drains through
+// core.System.ReleaseAll before a release or barrier arrival — which is
+// exactly where the paper's critical-section dilation comes from. Under
+// the lazy-release extension the shim makes it an acquire point too:
+// every lock grant and barrier exit runs core.System.AcquireSync to
+// validate the acquiring SSMP's copies against the home versions. The
+// shim also brackets the profiler attribution, so every algorithm pays
+// the same coherence costs under the same accounting.
 package msync
 
 import (
@@ -63,9 +55,12 @@ type System struct {
 	dsm   *core.System
 	net   *msg.Network
 	st    *stats.Collector
-	procs []*sim.Proc
 	costs Costs
 	p, c  int
+
+	// The algorithms every lock and barrier of this machine runs.
+	lockAlgo    algo.LockAlgo
+	barrierAlgo algo.BarrierAlgo
 
 	// mu guards lazy creation in the locks and barriers maps:
 	// processors on different shards of the parallel dispatcher can
@@ -73,11 +68,6 @@ type System struct {
 	mu       sync.Mutex
 	locks    map[int]algo.Lock    //mgs:guardedby mu
 	barriers map[int]algo.Barrier //mgs:guardedby mu
-
-	// Non-nil algorithm factories replace the native token lock /
-	// two-level tree barrier for primitives created after SetAlgos.
-	lockAlgo    algo.LockAlgo    //mgs:guardedby mu
-	barrierAlgo algo.BarrierAlgo //mgs:guardedby mu
 
 	// Obs is the observability spine; nil or sink-less keeps the trace
 	// path structurally detached.
@@ -88,12 +78,13 @@ type System struct {
 	lockWait, barrierWait *obs.Histogram
 }
 
-// New builds the synchronization system for the machine owning dsm.
-func New(eng *sim.Engine, dsm *core.System, net *msg.Network, st *stats.Collector, procs []*sim.Proc, costs Costs) *System {
+// New builds the synchronization system for the machine owning dsm,
+// running lock algorithm la and barrier algorithm ba.
+func New(eng *sim.Engine, dsm *core.System, net *msg.Network, st *stats.Collector, costs Costs, la algo.LockAlgo, ba algo.BarrierAlgo) *System {
 	cfg := dsm.Config()
 	m := &System{
-		eng: eng, dsm: dsm, net: net, st: st, procs: procs, costs: costs,
-		p: cfg.NProcs, c: cfg.ClusterSize,
+		eng: eng, dsm: dsm, net: net, st: st, costs: costs,
+		p: cfg.NProcs, c: cfg.ClusterSize, lockAlgo: la, barrierAlgo: ba,
 		locks: make(map[int]algo.Lock), barriers: make(map[int]algo.Barrier),
 	}
 	if reg := st.Registry(); reg != nil {
@@ -128,18 +119,63 @@ func (m *System) ssmpOf(proc int) int { return proc / m.c }
 // SSMP s — spread across the SSMP's processors by id.
 func (m *System) repProc(s, id int) int { return s*m.c + id%m.c }
 
-// SetAlgos selects the lock and barrier algorithms for primitives not
-// yet created. A nil factory keeps the corresponding native default
-// (token lock / two-level tree barrier). It must run before any lock
-// or barrier exists: algorithms are a machine-wide choice, not a
-// per-primitive one.
-func (m *System) SetAlgos(la algo.LockAlgo, ba algo.BarrierAlgo) {
+// Lock returns the lock with the given id, creating it on first use
+// with its home at processor id mod P.
+func (m *System) Lock(id int) algo.Lock { return m.LockHomed(id, id%m.p) }
+
+// LockHomed returns lock id, creating it with its home on the given
+// processor (a lock placed with the data it protects, as the paper's
+// per-molecule locks are). The home only takes effect at creation.
+// Creation is guarded: processors on different shards can reach a
+// lock's first use concurrently, and the created state is a pure
+// function of (id, home), so whichever racer registers it wins without
+// affecting the simulation.
+func (m *System) LockHomed(id, home int) algo.Lock {
+	// The ci:race-sentinel markers let CI's mutation step delete exactly
+	// these two lines and prove shardsafe still finds the unguarded
+	// lock-map insert.
+	m.mu.Lock()         // ci:race-sentinel
+	defer m.mu.Unlock() // ci:race-sentinel
+	if l, ok := m.locks[id]; ok {
+		return l
+	}
+	home %= m.p
+	l := &algoLock{Lock: m.lockAlgo.NewLock(algoEnv{m}, id, home), m: m, id: id}
+	m.locks[id] = l
+	return l
+}
+
+// Barrier returns the barrier with the given id, creating it on first
+// use with its home at processor id mod P. Creation is guarded like
+// LockHomed's.
+func (m *System) Barrier(id int) algo.Barrier {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.locks) > 0 || len(m.barriers) > 0 {
-		panic("msync: SetAlgos after locks or barriers were created")
+	if b, ok := m.barriers[id]; ok {
+		return b
 	}
-	m.lockAlgo, m.barrierAlgo = la, ba
+	b := &algoBarrier{Barrier: m.barrierAlgo.NewBarrier(algoEnv{m}, id, id%m.p), m: m, id: id}
+	m.barriers[id] = b
+	return b
+}
+
+// charge advances p and attributes the cycles.
+func (m *System) charge(p *sim.Proc, cat stats.Category, cycles sim.Time) {
+	p.Advance(cycles)
+	m.st.Charge(p.ID, cat, cycles)
+}
+
+// DumpState prints every lock's and barrier's state (deadlock
+// diagnosis; ids print in sorted order so two dumps of the same state
+// compare equal). The model checker also folds this text into its
+// state hash, so synchronization state distinguishes interleavings.
+func (m *System) DumpState(f func(format string, args ...any)) {
+	for _, id := range sortedIDs(m.locks) {
+		m.locks[id].Dump(f)
+	}
+	for _, id := range sortedIDs(m.barriers) {
+		m.barriers[id].Dump(f)
+	}
 }
 
 // Quiescent reports whether every lock and barrier has fully settled:
@@ -150,17 +186,13 @@ func (m *System) Quiescent() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, id := range sortedIDs(m.locks) {
-		if q, ok := m.locks[id].(algo.Quiescer); ok {
-			if err := q.Quiescent(); err != nil {
-				return err
-			}
+		if err := m.locks[id].Quiescent(); err != nil {
+			return err
 		}
 	}
 	for _, id := range sortedIDs(m.barriers) {
-		if q, ok := m.barriers[id].(algo.Quiescer); ok {
-			if err := q.Quiescent(); err != nil {
-				return err
-			}
+		if err := m.barriers[id].Quiescent(); err != nil {
+			return err
 		}
 	}
 	return nil
