@@ -12,9 +12,9 @@ import (
 // via Engine.At/After or delivered via Network.Send) run in engine
 // context, where only the engine-safe Proc methods (Wake, AddDebt,
 // HandlerStart, Parked, ...) are legal; the yielding methods (Sleep,
-// Park, Yield) and the clock-advancing Advance must only run on the
-// proc's own body goroutine. Violating this either deadlocks the
-// handshake or advances a clock the engine believes is frozen.
+// Park, Yield) and the clock-advancing Advance must only run in the
+// proc's own body coroutine. Violating this either panics in the
+// coroutine switch or advances a clock the engine believes is frozen.
 //
 // The analyzer builds a same-package call graph, seeds engine context
 // from every callback literal passed to At/After/Send, seeds proc

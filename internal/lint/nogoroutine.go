@@ -9,16 +9,17 @@ import (
 )
 
 // NoGoroutine forbids spawning goroutines and using channels in
-// deterministic packages (plus internal/harness). The engine guarantees
-// at most one runnable goroutine at a time via a channel handshake that
-// lives in exactly two places — sim.Proc's body spawn and the harness
-// sweep worker pool — both annotated with //mgslint:allow. Any other
-// goroutine or channel operation hands event ordering to the Go
-// scheduler and breaks bit-for-bit reproducibility.
+// deterministic packages (plus internal/harness). Processors are
+// runtime coroutines, so the sequential engine needs neither; the only
+// sanctioned sites are the parallel dispatcher's worker pool and window
+// barrier (sim/parallel.go) and the harness sweep worker pool, all
+// annotated with //mgslint:allow. Any other goroutine or channel
+// operation hands event ordering to the Go scheduler and breaks
+// bit-for-bit reproducibility.
 var NoGoroutine = &analysis.Analyzer{
 	Name: "nogoroutine",
 	Doc: "forbid go statements and channel operations in deterministic packages " +
-		"outside the two annotated engine-handshake sites",
+		"outside the annotated worker-pool sites",
 	Run: runNoGoroutine,
 }
 
@@ -31,7 +32,7 @@ func runNoGoroutine(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "go statement hands scheduling to the Go runtime in deterministic package %s; only the engine handshake and the sweep worker pool may spawn", pass.Pkg.Path())
+				pass.Reportf(n.Pos(), "go statement hands scheduling to the Go runtime in deterministic package %s; only the parallel dispatcher and the sweep worker pool may spawn", pass.Pkg.Path())
 			case *ast.SendStmt:
 				pass.Reportf(n.Pos(), "channel send outside the engine handshake: channel ordering is scheduler-dependent")
 			case *ast.UnaryExpr:

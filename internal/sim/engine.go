@@ -2,12 +2,12 @@
 // with cooperatively scheduled processor coroutines.
 //
 // The engine owns virtual time. Simulated processors (Proc) run real Go
-// code in goroutines, but the engine guarantees that at most one
-// goroutine — either the engine itself dispatching events, or exactly
-// one Proc — is runnable at any instant, via a channel handshake. Runs
-// are therefore bit-for-bit reproducible: there is no reliance on the
-// Go scheduler, wall-clock time, or map iteration order anywhere on the
-// simulated path.
+// code as runtime coroutines (iter.Pull): a Proc runs only inside the
+// event that resumes it, and switching into it suspends the dispatcher
+// until it yields, so exactly one body or event runs at a time per
+// dispatcher by construction. Runs are therefore bit-for-bit
+// reproducible: there is no reliance on the Go scheduler, wall-clock
+// time, or map iteration order anywhere on the simulated path.
 //
 // Two kinds of activity exist:
 //
@@ -38,16 +38,6 @@ import (
 // Time is virtual time in processor clock cycles.
 type Time int64
 
-// executor is one engine-side end of the coroutine handshake: the
-// channel a yielding Proc signals, and the Proc currently holding
-// control. The sequential engine has exactly one; the parallel mode
-// gives each worker its own, so shards hand control to their own procs
-// independently.
-type executor struct {
-	yield chan struct{} // procs signal "I have blocked" on this
-	cur   *Proc         // proc currently executing user code, if any
-}
-
 // Engine is a deterministic discrete-event simulator. The zero value is
 // not usable; call NewEngine.
 type Engine struct {
@@ -55,8 +45,6 @@ type Engine struct {
 	seq        uint64
 	queue      eventQueue
 	dispatched int64
-
-	seqEx *executor // the sequential dispatcher's handshake
 
 	procs   []*Proc
 	stopped bool
@@ -76,7 +64,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{seqEx: &executor{yield: make(chan struct{})}} //mgslint:allow nogoroutine -- the engine handshake channel: unbuffered, used only by Engine.run/Proc.block below
+	return &Engine{}
 }
 
 // Now returns the current virtual time: the timestamp of the event being
@@ -194,7 +182,7 @@ func (e *Engine) Run() error {
 func (e *Engine) deadlockCheck() error {
 	var stuck []string
 	for _, p := range e.procs {
-		if !p.done {
+		if p.state != stateDone {
 			stuck = append(stuck, fmt.Sprintf("proc %d (%s, clock %d)", p.ID, p.state, p.clock))
 		}
 	}
@@ -203,24 +191,4 @@ func (e *Engine) deadlockCheck() error {
 		return fmt.Errorf("sim: deadlock, %d processors stuck: %v", len(stuck), stuck)
 	}
 	return nil
-}
-
-// execFor returns the handshake executor responsible for p: the
-// sequential engine's unless the parallel dispatcher is live, in which
-// case it is the worker driving p's shard.
-func (e *Engine) execFor(p *Proc) *executor {
-	if e.par != nil && e.par.active {
-		return e.par.shards[e.par.shardOf(p.ID)].exec
-	}
-	return e.seqEx
-}
-
-// run transfers control to p and waits until p blocks again (or
-// finishes). Must be called from the dispatcher that owns p's shard.
-func (e *Engine) run(p *Proc) {
-	ex := e.execFor(p)
-	ex.cur = p
-	p.resume <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: hand control to p's body goroutine
-	<-ex.yield             //mgslint:allow nogoroutine -- engine handshake: block until p yields, so exactly one goroutine per dispatcher is ever runnable
-	ex.cur = nil
 }

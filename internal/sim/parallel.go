@@ -57,15 +57,14 @@ type logEntry struct {
 	nkids int32
 }
 
-// shard is one SSMP's event heap plus its window bookkeeping. All
-// fields except exec are touched only by the worker that owns the
-// shard during a window, and only by the coordinator between windows
-// (the barrier channels provide the happens-before edges).
+// shard is one SSMP's event heap plus its window bookkeeping. Its
+// fields are touched only by the worker that owns the shard during a
+// window, and only by the coordinator between windows (the barrier
+// channels provide the happens-before edges).
 type shard struct {
 	id   int
 	heap pheap
 	now  Time
-	exec *executor
 
 	pseq uint64     // per-shard provisional seq counter
 	kids []*pevent  // events created this window, in creation order
@@ -234,14 +233,10 @@ func (par *parEngine) setup(e *Engine) {
 	if w > nshards {
 		w = nshards
 	}
-	execs := make([]*executor, w)
-	for i := range execs {
-		execs[i] = &executor{yield: make(chan struct{})} //mgslint:allow nogoroutine -- per-worker handshake channel, mirror of the sequential engine's
-	}
 	par.shards = make([]*shard, nshards)
 	par.owned = make([][]*shard, w)
 	for i := range par.shards {
-		sh := &shard{id: i, exec: execs[i%w], pseq: provisionalBase}
+		sh := &shard{id: i, pseq: provisionalBase}
 		par.shards[i] = sh
 		par.owned[i%w] = append(par.owned[i%w], sh)
 	}

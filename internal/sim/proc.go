@@ -1,6 +1,12 @@
+// iter.Pull needs go1.23; go.mod stays at go 1.22 because the benchmark module (perfbench) pins it.
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procState describes what a Proc is doing, for deadlock diagnostics.
 type procState string
@@ -15,21 +21,23 @@ const (
 
 // Proc is a simulated processor: a coroutine with a local virtual clock.
 //
-// The body function runs in its own goroutine, but only while the engine
-// has handed control to it; any call that yields (Sleep, Park) blocks
-// the body until the engine resumes it. Proc methods other than Wake and
-// AddDebt must only be called from the body goroutine; Wake and AddDebt
-// are called from engine context (event callbacks).
+// The body function runs as a runtime coroutine (iter.Pull), and only
+// while a resume event has switched to it; any call that yields (Sleep,
+// Park) switches back to the dispatcher until the next resume event.
+// Proc methods other than Wake and AddDebt must only be called from the
+// body; Wake and AddDebt are called from engine context (event
+// callbacks). A panic in the body propagates out of Engine.Run.
 type Proc struct {
 	// ID is the processor number, unique within an engine.
 	ID int
 
-	eng    *Engine
-	clock  Time
-	debt   Time // handler preemption time owed, folded in on next Advance
-	resume chan struct{}
-	state  procState
-	done   bool
+	eng   *Engine
+	clock Time
+	debt  Time // handler preemption time owed, folded in on next Advance
+	state procState
+
+	yield  func(struct{}) bool // switches from the body back to the resume event that switched in
+	resume func()              // switches into the body; built once so yielding allocates nothing
 
 	// busyUntil serializes protocol handlers that run "on" this
 	// processor: a handler arriving at time t starts at
@@ -42,17 +50,16 @@ type Proc struct {
 // NewProc creates a processor whose body starts executing at time start.
 // The body receives the Proc so it can advance its clock and yield.
 func (e *Engine) NewProc(id int, start Time, body func(p *Proc)) *Proc {
-	p := &Proc{ID: id, eng: e, clock: start, resume: make(chan struct{}), state: stateNew} //mgslint:allow nogoroutine -- per-proc resume channel of the engine handshake
-	e.procs = append(e.procs, p)
-	go func() { //mgslint:allow nogoroutine -- the one sanctioned spawn in sim: the proc body goroutine, parked on resume until the engine hands it control
-		<-p.resume
+	p := &Proc{ID: id, eng: e, clock: start, state: stateNew}
+	next, _ := iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		p.state = stateRunning
 		body(p)
 		p.state = stateDone
-		p.done = true
-		e.execFor(p).yield <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: final yield when the body returns
-	}()
-	e.AtOn(p, start, func() { e.run(p) })
+	})
+	p.resume = func() { next() }
+	e.procs = append(e.procs, p)
+	e.AtOn(p, start, p.resume)
 	return p
 }
 
@@ -107,8 +114,7 @@ func (p *Proc) Sleep(d Time) {
 	p.clock += d + p.debt
 	p.debt = 0
 	p.state = stateSleep
-	e := p.eng
-	e.AtOn(p, p.clock, func() { e.run(p) })
+	p.eng.AtOn(p, p.clock, p.resume)
 	p.block()
 }
 
@@ -136,14 +142,12 @@ func (p *Proc) Wake(t Time) {
 		panic(fmt.Sprintf("sim: Wake of proc %d in state %s", p.ID, p.state))
 	}
 	p.wakeAt = t
-	e := p.eng
-	e.AtOn(p, t, func() { e.run(p) })
+	p.eng.AtOn(p, t, p.resume)
 }
 
-// block yields control back to the dispatcher that owns this
-// processor's shard and waits to be resumed.
+// block switches from the body back to the dispatcher whose event
+// resumed it, and returns when a resume event switches back in.
 func (p *Proc) block() {
-	p.eng.execFor(p).yield <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: yield, then wait for resume; covers both lines
-	<-p.resume
+	p.yield(struct{}{})
 	p.state = stateRunning
 }

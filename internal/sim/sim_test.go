@@ -303,7 +303,7 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestManyProcsAllFinish exercises the handshake at a larger scale.
+// TestManyProcsAllFinish exercises the coroutine switch at a larger scale.
 func TestManyProcsAllFinish(t *testing.T) {
 	e := NewEngine()
 	finished := make([]bool, 64)
@@ -355,6 +355,43 @@ func TestParkWakeChain(t *testing.T) {
 	}
 }
 
+// TestProcSleepDoesNotAllocate pins the steady-state cost of a yield:
+// Sleep reuses the proc's one resume callback and the event heap's
+// grown backing array, so switching out and back in allocates nothing.
+func TestProcSleepDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	var allocs float64
+	e.NewProc(0, 0, func(p *Proc) {
+		p.Sleep(1)
+		allocs = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Proc.Sleep allocates %.2f times per call, want 0", allocs)
+	}
+}
+
+// TestProcPanicReachesRunCaller: a panic in a processor body unwinds
+// through the dispatcher to the caller of Run, where it can be
+// recovered, instead of killing the process from another goroutine.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	e.NewProc(0, 0, func(p *Proc) {
+		p.Sleep(5)
+		panic("body failed")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = e.Run()
+	}()
+	if got != "body failed" {
+		t.Fatalf("recovered %v from Run, want the body's panic value", got)
+	}
+}
+
 func BenchmarkEventThroughput(b *testing.B) {
 	e := NewEngine()
 	n := 0
@@ -372,6 +409,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine()
 	e.NewProc(0, 0, func(p *Proc) {
 		for i := 0; i < b.N; i++ {
