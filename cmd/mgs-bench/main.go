@@ -11,10 +11,9 @@
 // The microbenchmarks cover the software-TLB lookup, the twin/diff
 // kernel, event dispatch, and the end-to-end shared-memory access fast
 // path. The sweep section times one figure sweep sequentially and with
-// the parallel runner; on a single-core host the two coincide. The
-// engine section times one simulation under the sharded event
-// dispatcher at -engine-workers 1, 2, 4, and 8, verifying that the
-// simulated cycle count is identical at every setting.
+// the parallel runner; on a single-core host the two coincide. The host
+// section records the CPU count, GOMAXPROCS and Go version the numbers
+// were measured under.
 package main
 
 import (
@@ -45,36 +44,21 @@ type BenchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
+// HostResult is the context every timing in the report was measured
+// under.
+type HostResult struct {
+	NumCPU     int    `json:"num_cpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
 // SweepResult times one figure sweep under both runners.
 type SweepResult struct {
 	App        string  `json:"app"`
 	P          int     `json:"p"`
-	GoMaxProcs int     `json:"gomaxprocs"`
 	SeqSeconds float64 `json:"seq_seconds"`
 	ParSeconds float64 `json:"par_seconds"`
 	Speedup    float64 `json:"speedup"`
-}
-
-// EnginePoint times one simulation under the sharded event dispatcher
-// at a given worker count. Speedup is relative to the workers=1 run of
-// the same curve; the simulated cycle count is identical at every
-// worker count (main aborts if not).
-type EnginePoint struct {
-	Workers int     `json:"workers"`
-	Seconds float64 `json:"seconds"`
-	Speedup float64 `json:"speedup"`
-}
-
-// EngineResult is the engine-parallelism speedup curve: one simulation
-// (not a sweep) repeated at increasing -engine-workers settings.
-type EngineResult struct {
-	App        string        `json:"app"`
-	P          int           `json:"p"`
-	C          int           `json:"c"`
-	NumCPU     int           `json:"num_cpu"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Note       string        `json:"note"`
-	Points     []EnginePoint `json:"points"`
 }
 
 // ScaleDirPoint is one cluster size of a thousand-processor scale
@@ -108,9 +92,9 @@ type ScaleResult struct {
 
 // Report is the file schema of BENCH_sim.json.
 type Report struct {
+	Host       HostResult    `json:"host"`
 	Benchmarks []BenchResult `json:"benchmarks"`
 	Sweep      SweepResult   `json:"sweep"`
-	Engine     EngineResult  `json:"engine"`
 	Scale      []ScaleResult `json:"scale"`
 }
 
@@ -234,18 +218,6 @@ func benchAccess(b *testing.B) {
 	}
 }
 
-// checkApp reports whether mk knows the named app (the exp constructors
-// panic on unknown names).
-func checkApp(mk func(string) harness.App, name string) (err error) {
-	defer func() {
-		if recover() != nil {
-			err = fmt.Errorf("unknown app %q", name)
-		}
-	}()
-	mk(name)
-	return nil
-}
-
 // timeSweep runs one figure sweep at the given worker setting and
 // reports the wall-clock plus the summed cycle count (a checksum the
 // caller compares across runner modes).
@@ -263,50 +235,6 @@ func timeSweep(app string, p int, mk func(string) harness.App, w int) (float64, 
 		sum += pt.Res.Cycles
 	}
 	return time.Since(start).Seconds(), sum, nil
-}
-
-// engineCurve runs one simulation repeatedly under increasing engine
-// worker counts, timing each run and checking that the simulated cycle
-// count never moves — the dispatcher's bit-identity contract, measured
-// rather than assumed.
-func engineCurve(app string, p int, mk func(string) harness.App, counts []int) (EngineResult, error) {
-	// Four processors per SSMP gives p/4 shards for the dispatcher to
-	// spread across workers; machines too small for that shape run with
-	// single-processor SSMPs instead.
-	c := 4
-	if p < 8 || p%4 != 0 {
-		c = 1
-	}
-	res := EngineResult{
-		App: app, P: p, C: c,
-		NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
-		Note: "speedup is wall-clock relative to workers=1; simulated cycles are bit-identical at every worker count",
-	}
-	if max := counts[len(counts)-1]; res.NumCPU < max {
-		res.Note += fmt.Sprintf("; host has %d CPU(s), so worker counts beyond that time-slice cores and measure dispatcher overhead, not parallel capacity", res.NumCPU)
-	}
-	var refCycles sim.Time
-	for i, w := range counts {
-		cfg := exp.Config(p, c, harness.WithEngineWorkers(w))
-		start := time.Now()
-		r, err := harness.RunApp(mk(app), cfg)
-		if err != nil {
-			return res, fmt.Errorf("engine curve workers=%d: %w", w, err)
-		}
-		secs := time.Since(start).Seconds()
-		if i == 0 {
-			refCycles = r.Cycles
-		} else if r.Cycles != refCycles {
-			return res, fmt.Errorf("engine curve diverged: workers=%d ran %d cycles, workers=%d ran %d",
-				counts[0], refCycles, w, r.Cycles)
-		}
-		pt := EnginePoint{Workers: w, Seconds: secs, Speedup: 1}
-		if i > 0 {
-			pt.Speedup = res.Points[0].Seconds / secs
-		}
-		res.Points = append(res.Points, pt)
-	}
-	return res, nil
 }
 
 // scaleCurve runs the thousand-processor scale experiment at one P on
@@ -351,11 +279,11 @@ func main() {
 	t.Parse()
 
 	mk := t.Apps()
-	if err := checkApp(mk, t.App); err != nil {
-		log.Fatal(err) // fail before the benchmarks burn 20s
-	}
-
 	rep := Report{
+		Host: HostResult{
+			NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
+			GoVersion: runtime.Version(),
+		},
 		Benchmarks: []BenchResult{
 			bench("TLBLookup", benchTLB),
 			bench("ComputeDiffClean", benchDiff(func(int) bool { return false })),
@@ -393,22 +321,11 @@ func main() {
 		log.Fatalf("parallel sweep diverged: seq cycles %d, par cycles %d", seqSum, parSum)
 	}
 	rep.Sweep = SweepResult{
-		App: t.App, P: t.P, GoMaxProcs: runtime.GOMAXPROCS(0),
+		App: t.App, P: t.P,
 		SeqSeconds: seqS, ParSeconds: parS, Speedup: seqS / parS,
 	}
 	fmt.Printf("  sweep %s P=%d: seq %.2fs, par %.2fs (%.2fx, GOMAXPROCS=%d)\n",
-		t.App, t.P, seqS, parS, seqS/parS, rep.Sweep.GoMaxProcs)
-
-	eng, err := engineCurve(t.App, t.P, mk, []int{1, 2, 4, 8})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep.Engine = eng
-	fmt.Printf("  engine %s P=%d C=%d (NumCPU=%d):", eng.App, eng.P, eng.C, eng.NumCPU)
-	for _, pt := range eng.Points {
-		fmt.Printf("  w=%d %.2fs (%.2fx)", pt.Workers, pt.Seconds, pt.Speedup)
-	}
-	fmt.Println()
+		t.App, t.P, seqS, parS, seqS/parS, rep.Host.GoMaxProcs)
 
 	for _, p := range []int{256, 1024} {
 		sc, err := scaleCurve("jacobi", p)

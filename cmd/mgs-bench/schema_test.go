@@ -73,8 +73,8 @@ func TestCommittedReportSchema(t *testing.T) {
 }
 
 // TestCommittedReportContents pins the parts of the committed report
-// downstream tracking keys on: the benchmark suite and the engine
-// speedup curve's worker counts.
+// downstream tracking keys on: the host context, the benchmark suite
+// and the scale curve's machine sizes.
 func TestCommittedReportContents(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_sim.json")
 	if err != nil {
@@ -105,15 +105,22 @@ func TestCommittedReportContents(t *testing.T) {
 	if !reflect.DeepEqual(names, wantBench) {
 		t.Errorf("benchmark suite drifted: %v, want %v", names, wantBench)
 	}
-	var workers []int
-	for _, pt := range rep.Engine.Points {
-		workers = append(workers, pt.Workers)
+	var host map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &struct {
+		Host *map[string]json.RawMessage `json:"host"`
+	}{&host}); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(workers, []int{1, 2, 4, 8}) {
-		t.Errorf("engine curve worker counts drifted: %v, want [1 2 4 8]", workers)
+	var hostKeys []string
+	for k := range host {
+		hostKeys = append(hostKeys, k)
 	}
-	if rep.Engine.NumCPU < 1 || rep.Engine.Note == "" {
-		t.Error("engine curve must record its host context (num_cpu, note)")
+	sort.Strings(hostKeys)
+	if want := []string{"go_version", "gomaxprocs", "num_cpu"}; !reflect.DeepEqual(hostKeys, want) {
+		t.Errorf("host keys drifted: %v, want %v", hostKeys, want)
+	}
+	if rep.Host.NumCPU < 1 || rep.Host.GoMaxProcs < 1 || rep.Host.GoVersion == "" {
+		t.Errorf("report must record its host context: %+v", rep.Host)
 	}
 	var scaleP []int
 	for _, sc := range rep.Scale {

@@ -10,6 +10,7 @@ package cli
 import (
 	"flag"
 	"log"
+	"slices"
 	"strings"
 
 	"mgs/internal/exp"
@@ -30,9 +31,6 @@ type Tool struct {
 	Small bool
 	// Workers is the -workers concurrency for sweep-style tools.
 	Workers int
-	// EngineWorkers is the -engine-workers shard count for the
-	// parallel event dispatcher inside each simulation.
-	EngineWorkers int
 	// Topology is the -topology inter-SSMP interconnect selection
 	// (uniform, mesh, fattree, tiered).
 	Topology string
@@ -42,10 +40,12 @@ type Tool struct {
 	// CSV selects machine-readable output (-csv).
 	CSV bool
 
-	hasWorkers       bool
-	hasEngineWorkers bool
-	hasTopology      bool
-	hasSync          bool
+	hasApp      bool
+	hasShape    bool
+	hasC        bool
+	hasWorkers  bool
+	hasTopology bool
+	hasSync     bool
 }
 
 // New configures the standard tool logging — bare messages prefixed
@@ -61,6 +61,7 @@ func New(name string) *Tool {
 // or do not take one).
 func (t *Tool) MachineFlags(appDef string, pDef, cDef int, smallDef bool) *Tool {
 	flag.StringVar(&t.App, "app", appDef, "application: "+strings.Join(AppList(), ", "))
+	t.hasApp = true
 	return t.ShapeFlags(pDef, cDef, smallDef)
 }
 
@@ -68,13 +69,12 @@ func (t *Tool) MachineFlags(appDef string, pDef, cDef int, smallDef bool) *Tool 
 // own application-selection flag). A cDef <= 0 skips -c.
 func (t *Tool) ShapeFlags(pDef, cDef int, smallDef bool) *Tool {
 	flag.IntVar(&t.P, "p", pDef, "total processors")
+	t.hasShape = true
 	if cDef > 0 {
 		flag.IntVar(&t.C, "c", cDef, "processors per SSMP (cluster size)")
+		t.hasC = true
 	}
 	flag.BoolVar(&t.Small, "small", smallDef, "use reduced problem sizes")
-	flag.IntVar(&t.EngineWorkers, "engine-workers", 0,
-		"event-dispatch shards per simulation (<=1 = sequential engine; results are bit-identical at any setting)")
-	t.hasEngineWorkers = true
 	flag.StringVar(&t.Topology, "topology", "uniform",
 		"inter-SSMP interconnect: "+strings.Join(msg.TopologyNames(), ", "))
 	t.hasTopology = true
@@ -105,15 +105,26 @@ func (t *Tool) SweepFlags() *Tool {
 	return t
 }
 
-// Parse parses the process flags and applies the post-parse side
-// effects (the sweep and engine worker counts).
+// Parse parses the process flags, rejects a bad -app or machine shape,
+// and applies the post-parse side effects (the sweep worker count and
+// the topology and synchronization defaults). Bad input ends the
+// process with a one-line message and a nonzero exit.
 func (t *Tool) Parse() *Tool {
 	flag.Parse()
+	if t.hasApp && t.App != "" && !slices.Contains(AppList(), t.App) {
+		log.Fatalf("unknown app %q (have %s)", t.App, strings.Join(AppList(), " "))
+	}
+	if t.hasShape {
+		c := 1 // tools without -c choose their own cluster sizes
+		if t.hasC {
+			c = t.C
+		}
+		if err := harness.NewConfig(t.P, c).Validate(); err != nil {
+			log.Fatal(err)
+		}
+	}
 	if t.hasWorkers {
 		harness.SweepWorkers = t.Workers
-	}
-	if t.hasEngineWorkers {
-		harness.EngineWorkers = t.EngineWorkers
 	}
 	if t.hasTopology {
 		topo, err := msg.ByName(t.Topology)
@@ -146,9 +157,15 @@ func (t *Tool) Apps() func(string) harness.App {
 }
 
 // Config builds the paper's experiment configuration for the parsed
-// machine shape, with any functional options applied on top.
+// machine shape, with any functional options applied on top. A
+// configuration Validate rejects (a bad -pagesize, say) ends the
+// process like a bad flag does.
 func (t *Tool) Config(opts ...harness.Option) harness.Config {
-	return exp.Config(t.P, t.C, opts...)
+	cfg := exp.Config(t.P, t.C, opts...)
+	if err := cfg.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	return cfg
 }
 
 // AppList names every application the exp constructors accept, the

@@ -1,8 +1,12 @@
 package cli
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"mgs/internal/harness"
@@ -11,9 +15,9 @@ import (
 // withArgs runs fn with a fresh flag set and the given command line.
 func withArgs(t *testing.T, args []string, fn func()) {
 	t.Helper()
-	oldFS, oldArgs, oldWorkers, oldEngine := flag.CommandLine, os.Args, harness.SweepWorkers, harness.EngineWorkers
+	oldFS, oldArgs, oldWorkers := flag.CommandLine, os.Args, harness.SweepWorkers
 	defer func() {
-		flag.CommandLine, os.Args, harness.SweepWorkers, harness.EngineWorkers = oldFS, oldArgs, oldWorkers, oldEngine
+		flag.CommandLine, os.Args, harness.SweepWorkers = oldFS, oldArgs, oldWorkers
 	}()
 	flag.CommandLine = flag.NewFlagSet("cli_test", flag.PanicOnError)
 	os.Args = append([]string{"cli_test"}, args...)
@@ -54,21 +58,45 @@ func TestParsedValuesFlow(t *testing.T) {
 	})
 }
 
-func TestEngineWorkersFlows(t *testing.T) {
-	withArgs(t, []string{"-engine-workers", "4"}, func() {
-		tool := New("cli_test").MachineFlags("water", 8, 2, true).Parse()
-		if tool.EngineWorkers != 4 {
-			t.Fatalf("-engine-workers not parsed: %+v", tool)
-		}
-		if harness.EngineWorkers != 4 {
-			t.Fatalf("Parse did not set harness.EngineWorkers: %d", harness.EngineWorkers)
-		}
-		// The default flows through NewConfig, so every tool and sweep
-		// path inherits the flag without explicit plumbing.
-		if cfg := tool.Config(); cfg.EngineWorkers != 4 {
-			t.Fatalf("Config did not pick up the engine worker default: %+v", cfg)
-		}
-	})
+// badInputEnv carries a child process's command line in
+// TestBadInputExits.
+const badInputEnv = "MGS_CLI_BAD_INPUT"
+
+// TestBadInputExits runs a tool shaped like mgs-run (its -pagesize flag
+// included) in a child process for each bad input and requires a
+// nonzero exit with a one-line message instead of a panic.
+func TestBadInputExits(t *testing.T) {
+	if args := os.Getenv(badInputEnv); args != "" {
+		withArgs(t, strings.Fields(args), func() {
+			tool := New("cli_test").MachineFlags("jacobi", 32, 4, false)
+			pagesize := flag.Int("pagesize", 1024, "page size in bytes")
+			tool.Parse()
+			harness.NewMachine(tool.Config(harness.WithPageSize(*pagesize)))
+		})
+		return
+	}
+	for _, tc := range []struct{ args, want string }{
+		{"-p 30 -c 4", "bad machine shape P=30 C=4"},
+		{"-p 0", "bad machine shape P=0 C=4"},
+		{"-pagesize 100", "bad page size 100"},
+		{"-app nope", `unknown app "nope"`},
+	} {
+		t.Run(tc.args, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestBadInputExits$")
+			cmd.Env = append(os.Environ(), badInputEnv+"="+tc.args)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+				t.Fatalf("want a nonzero exit, got err=%v", err)
+			}
+			msg := strings.TrimSuffix(stderr.String(), "\n")
+			if strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "cli_test: ") || !strings.Contains(msg, tc.want) {
+				t.Fatalf("want one line %q containing %q, got:\n%s", "cli_test: ...", tc.want, stderr.String())
+			}
+		})
+	}
 }
 
 func TestAppsSelection(t *testing.T) {

@@ -62,8 +62,5 @@ func (s *System) unlock(cp *clientPage, at sim.Time) {
 	next := cp.lk.waiters[0]
 	cp.lk.waiters = cp.lk.waiters[1:]
 	handoff := at + s.cfg.Costs.PTLockOp
-	// The handoff is same-SSMP work: every locker and unlocker of cp's
-	// lock executes on cp's shard, so pin the event there (an unpinned
-	// At would force the whole run onto the sequential dispatcher).
-	s.eng.AtOn(s.procs[s.ssmpBase(cp.ssmp)], handoff, func() { next(handoff) })
+	s.eng.At(handoff, func() { next(handoff) })
 }

@@ -9,16 +9,16 @@ import (
 	"mgs/internal/vm"
 )
 
-// Shard discipline. Under the parallel dispatcher (sim.Parallelize)
-// the handlers in this file execute concurrently on different SSMPs'
-// shards, so every handler may touch only the state of the shard it
-// runs on: Server records (serverPage) are home-shard state, client
-// records (clientPage) are their SSMP's state, and every cross-SSMP
-// fact travels inside a message — the requester's page record rides
-// the REQ, the capture round rides the REL, teardowns ride the
-// invalidation replies. Fields that are immutable while the parallel
-// dispatcher can be live (sp.page, sp.homeProc, cp.page, cp.ssmp) are
-// the only state read across shards.
+// SSMP discipline. Every handler in this file touches only the state of
+// the SSMP it runs on: Server records (serverPage) are home-SSMP state,
+// client records (clientPage) are their SSMP's state, and every
+// cross-SSMP fact travels inside a message — the requester's page
+// record rides the REQ, the capture round rides the REL, teardowns ride
+// the invalidation replies. SSMPs share no memory in the real machine,
+// and state that crosses SSMPs only in messages is what the model
+// checker's delivery reordering refines. Fields that are immutable
+// during a run (sp.page, sp.homeProc outside migration, cp.page,
+// cp.ssmp) are the only state read across SSMPs.
 
 // onRequest is the Server's RREQ/WREQ handler (arcs 17–19, 22), running
 // on the page's home processor.
@@ -63,7 +63,7 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 			s.st.Count("rdat", 1)
 		}
 		// Record where the SSMP's Remote Client lives so invalidations
-		// can be addressed without reading the remote shard. The first
+		// can be addressed without reading the remote SSMP. The first
 		// serve's requester is the copy's permanent first-touch owner
 		// (PBusy plus the page-table lock admit one outstanding request
 		// per SSMP and page).
@@ -98,7 +98,7 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 				at = s.net.Extend(sp.homeProc, at, sim.Time(n)*c.PinvWork)
 			}
 		}
-		// The DMA image is captured now, on the home shard: the copy
+		// The DMA image is captured now, at the home: the copy
 		// reflects the home version as of SERVE time, and a merge that
 		// lands while the data is on the wire must leave it stale.
 		img = getPageBuf(s.cfg.PageSize)
@@ -173,14 +173,14 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 // consistency.
 //
 // Whether the release still has data to collect is judged at the home,
-// on REL arrival: the REL carries what the releaser knows shard-locally
-// — whether its SSMP's copy survives (cond=false) and which release
+// on REL arrival: the REL carries what the releaser knows locally —
+// whether its SSMP's copy survives (cond=false) and which release
 // round last captured it (capRound) — and the Server combines that
 // with its own round state (onRel). The earlier design read the
 // Server's state from the releasing processor to skip satisfied
-// releases without a message; that read is impossible under the
-// parallel dispatcher, so a satisfied release now costs one REL/RACK
-// round trip instead of zero messages.
+// releases without a message; a real releaser cannot read the home's
+// memory, so a satisfied release costs one REL/RACK round trip instead
+// of zero messages.
 func (s *System) ReleaseAll(p *sim.Proc) {
 	if s.cfg.Disabled {
 		return
@@ -314,7 +314,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 }
 
 // dispatchInv sends the INV/1WINV for the next queued target, addressed
-// with the home's own record of the copy (rmt) — the remote shard's
+// with the home's own record of the copy (rmt) — the remote SSMP's
 // state is never read from here.
 func (s *System) dispatchInv(sp *serverPage, at sim.Time) {
 	t := sp.invQueue[0]
@@ -384,7 +384,7 @@ func (s *System) ssmpBase(r int) int { return r * s.cfg.ClusterSize }
 
 // clientOwner returns the processor the SSMP's Remote Client runs on:
 // the copy's first-touch owner, or (before any placement) the SSMP's
-// first processor. Shard-local — home-side code uses rmt instead.
+// first processor. SSMP-local — home-side code uses rmt instead.
 func (s *System) clientOwner(cp *clientPage) int {
 	if cp.ownerProc >= 0 {
 		return cp.ownerProc
@@ -764,8 +764,8 @@ func (s *System) sendRefresh(sp *serverPage, r int, img []byte, at sim.Time) {
 }
 
 // migrateHome moves the page's home to SSMP r (dynamic migration, an
-// extension — see Costs.MigrateAfter; sequential-only, so the Server
-// record's move between shard maps is safe). Called at a quiescent
+// extension — see Costs.MigrateAfter; the Server record moves between
+// the SSMPs' arenas). Called at a quiescent
 // point: no copies outstanding, no queued requests. The old home SSMP's
 // own mapping is torn down; its processors refetch like any other
 // client.
@@ -786,7 +786,7 @@ func (s *System) migrateHome(sp *serverPage, r int, at sim.Time) {
 		s.recycleTwin(hcp)
 		hcp.state = PInv
 	}
-	// The Server record follows the home: it lives in the home shard's
+	// The Server record follows the home: it lives in the home SSMP's
 	// arena so lookups resolve through the (re-homed) address space.
 	s.ssmps[oldSSMP].servers.del(sp.page)
 	sp.homeProc = newHome

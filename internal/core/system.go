@@ -111,8 +111,8 @@ type clientPage struct {
 	// modifications (finishInv), carried by this SSMP's next REL so the
 	// home can tell a release whose data the running round already
 	// collected from one it has not. Written and read only on the
-	// copy's own shard; the value travels to the home in the REL
-	// message, never by a cross-shard read.
+	// copy's own SSMP; the value travels to the home in the REL
+	// message, never by a cross-SSMP read.
 	capturedRound int64
 
 	// Lazy-release bookkeeping: diff-carrying RELs of this copy's data
@@ -290,9 +290,8 @@ func (s *System) emitEngine(t sim.Time, proc int, v vm.Page, name string, dur si
 
 // ssmpState is the per-SSMP software state. Everything here — client
 // pages, the Server records of pages homed on this SSMP, the frame
-// allocator — is touched only by events executing on this SSMP's
-// shard, which is what lets the parallel dispatcher advance SSMPs
-// concurrently with no locks on the simulated path.
+// allocator — is touched only by events executing on this SSMP: SSMPs
+// share no memory, so cross-SSMP state moves only in messages.
 type ssmpState struct {
 	id      int
 	domain  *cache.Domain
@@ -426,8 +425,8 @@ func (ss *ssmpState) ensurePage(v vm.Page) *clientPage {
 
 // server returns (creating if needed) the Server record for page v,
 // which lives on the home processor's SSMP. The home frame is created
-// zeroed. Under the parallel dispatcher this must only be called from
-// the home shard's execution context (or host-side, outside the run).
+// zeroed. Call it only from the home SSMP's execution context (or
+// host-side, outside the run).
 func (s *System) server(v vm.Page) *serverPage {
 	ss := s.ssmps[s.ssmpOf(s.space.HomeProc(v))]
 	sp := ss.servers.get(v)
@@ -445,7 +444,7 @@ func (s *System) server(v vm.Page) *serverPage {
 }
 
 // serverIfExists returns the Server record for page v, or nil if the
-// page has never been served. Same shard discipline as server.
+// page has never been served. Same SSMP discipline as server.
 func (s *System) serverIfExists(v vm.Page) *serverPage {
 	return s.ssmps[s.ssmpOf(s.space.HomeProc(v))].servers.get(v)
 }

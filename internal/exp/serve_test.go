@@ -37,39 +37,6 @@ func TestServeRerunBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServeEngineWorkersBitIdentical: the sharded event dispatcher must
-// not move a single latency sample, fault-free or under chaos.
-func TestServeEngineWorkersBitIdentical(t *testing.T) {
-	for planName, plan := range map[string]fault.Plan{
-		"faultfree": {},
-		"chaos5pct": ServeChaosPlan(3),
-	} {
-		run := func(workers int) (string, []byte) {
-			w := serve.DefaultWorkload(true, 3)
-			app := apps.NewServe(w)
-			cfg := Config(8, 2)
-			cfg.EngineWorkers = workers
-			cfg.Fault = plan
-			res, mem, err := harness.RunAppMem(app, cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", planName, workers, err)
-			}
-			return app.Report(res, serveSLO()).CSV(), mem
-		}
-		refCSV, refMem := run(1)
-		for _, workers := range []int{2, 4, 8} {
-			csv, mem := run(workers)
-			if csv != refCSV {
-				t.Errorf("%s: engine workers=%d CSV diverges from sequential:\n%s\nvs\n%s",
-					planName, workers, csv, refCSV)
-			}
-			if !bytes.Equal(mem, refMem) {
-				t.Errorf("%s: engine workers=%d final memory diverges", planName, workers)
-			}
-		}
-	}
-}
-
 // TestServeSweepWorkersBitIdentical: the tail sweep's CSV must not
 // depend on how many runs execute concurrently.
 func TestServeSweepWorkersBitIdentical(t *testing.T) {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"mgs/internal/stats"
@@ -9,6 +10,44 @@ import (
 
 func testCfg(p, c int) Config {
 	return NewConfig(p, c, WithInterSSMPDelay(500))
+}
+
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // error substring; empty means valid
+	}{
+		{"paper default", NewConfig(32, 4), ""},
+		{"one SSMP", NewConfig(32, 32), ""},
+		{"single processor", NewConfig(1, 1), ""},
+		{"smallest page", NewConfig(8, 2, WithPageSize(16)), ""},
+		{"C does not divide P", NewConfig(30, 4), "bad machine shape P=30 C=4"},
+		{"zero P", NewConfig(0, 4), "bad machine shape P=0 C=4"},
+		{"negative P", NewConfig(-8, 4), "bad machine shape P=-8 C=4"},
+		{"zero C", NewConfig(8, 0), "bad machine shape P=8 C=0"},
+		{"C above P", NewConfig(4, 8), "bad machine shape P=4 C=8"},
+		{"page not a power of two", NewConfig(8, 2, WithPageSize(100)), "bad page size 100"},
+		{"zero page", NewConfig(8, 2, WithPageSize(0)), "bad page size 0"},
+		{"page below a cache line", NewConfig(8, 2, WithPageSize(8)), "bad page size 8"},
+	} {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestNewMachinePanicsWithValidateMessage(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "harness: "+NewConfig(30, 4).Validate().Error() {
+			t.Fatalf("panic %v, want Validate's message", r)
+		}
+	}()
+	NewMachine(NewConfig(30, 4))
 }
 
 func TestCtxLoadStoreRoundTrips(t *testing.T) {

@@ -31,16 +31,10 @@ type Config struct {
 	// plain software virtual memory, no software coherence.
 	Disabled bool
 
-	// EngineWorkers arms parallel event dispatch: the event heap shards
-	// per SSMP and up to this many OS threads advance the shards inside
-	// conservative lookahead windows of the inter-SSMP latency. Results
-	// are bit-identical to the sequential engine for every worker count
-	// (1 disarms and is the reference). Configurations the sharded
-	// dispatcher cannot serve — tracing or profiling observers, lazy
-	// release, home migration, the update protocol, jittered networks,
-	// topologies reporting zero lookahead (mesh, fat-tree, tiered),
-	// debug checks, a single SSMP — fall back to sequential dispatch
-	// automatically.
+	// EngineWorkers is ignored: every machine runs on the sequential
+	// event dispatcher.
+	//
+	// Deprecated: kept only because the frozen perfbench module reads it.
 	EngineWorkers int
 
 	// Fault, when non-empty, interposes the deterministic fault-injecting
@@ -67,10 +61,7 @@ type Config struct {
 	// LockAlgo and BarrierAlgo name the synchronization algorithms from
 	// internal/msync/algo ("token", "ticket", "mcs", "tournament" /
 	// "tree", "sense", "dissemination", "mcstree", "tournament"). Empty
-	// or the default name selects the token lock and tree barrier, the
-	// only ones the parallel dispatcher admits; any other algorithm
-	// forces sequential event dispatch (its handlers share per-object
-	// state across SSMP shards).
+	// selects the paper's token lock and tree barrier.
 	LockAlgo    string
 	BarrierAlgo string
 }
@@ -99,10 +90,6 @@ func WithFaultPlan(p fault.Plan) Option { return func(c *Config) { c.Fault = p }
 // WithObserver attaches an observability spine to the machine.
 func WithObserver(o *obs.Observer) Option { return func(c *Config) { c.Obs = o } }
 
-// WithEngineWorkers sets the parallel event-dispatch worker count
-// (Config.EngineWorkers); n <= 1 keeps the sequential dispatcher.
-func WithEngineWorkers(n int) Option { return func(c *Config) { c.EngineWorkers = n } }
-
 // WithTopology selects the inter-SSMP interconnect: msg.NewUniform()
 // (the default, the paper's fixed-delay LAN), msg.NewMesh2D(),
 // msg.NewFatTree(arity), or msg.NewTiered(siteSize). The spec is sized
@@ -126,9 +113,8 @@ func WithBarrierAlgo(name string) Option { return func(c *Config) { c.BarrierAlg
 func NewConfig(p, c int, opts ...Option) Config {
 	cfg := Config{
 		P: p, C: c, PageSize: 1024, TLBSize: 64, Delay: 1000,
-		Disabled:      c == p,
-		EngineWorkers: EngineWorkers,
-		Protocol:      core.DefaultCosts(),
+		Disabled: c == p,
+		Protocol: core.DefaultCosts(),
 		Cache: cache.Costs{
 			Hit: 2, Local: 11, Remote: 38, TwoParty: 42,
 			ThreeParty: 63, Software: 425, CleanPerLine: 40,
@@ -149,7 +135,21 @@ func NewConfig(p, c int, opts ...Option) Config {
 	return cfg
 }
 
-// Machine is one assembled DSSMP.
+// Validate reports whether the configuration describes a machine that
+// can be built: a positive processor count divided evenly into SSMPs,
+// and a power-of-two page size no smaller than a cache line.
+func (cfg Config) Validate() error {
+	if cfg.P <= 0 || cfg.C <= 0 || cfg.P%cfg.C != 0 {
+		return fmt.Errorf("bad machine shape P=%d C=%d: need P > 0 and C > 0 with C dividing P", cfg.P, cfg.C)
+	}
+	if ps := cfg.PageSize; ps <= 0 || ps&(ps-1) != 0 || ps < cfg.CacheHW.LineSize {
+		return fmt.Errorf("bad page size %d: need a power of two of at least %d bytes (one cache line)", ps, cfg.CacheHW.LineSize)
+	}
+	return nil
+}
+
+// Machine is one assembled DSSMP. It and everything it owns are driven
+// by one goroutine; none of it is safe for concurrent use.
 type Machine struct {
 	Cfg   Config
 	Eng   *sim.Engine
@@ -165,9 +165,10 @@ type Machine struct {
 
 // NewMachine assembles a machine. The configuration's Msg.InterDelay is
 // overridden by Cfg.Delay so callers set the LAN latency in one place.
+// It panics on a configuration Validate rejects.
 func NewMachine(cfg Config) *Machine {
-	if cfg.P <= 0 || cfg.C <= 0 || cfg.P%cfg.C != 0 {
-		panic(fmt.Sprintf("harness: bad machine shape P=%d C=%d", cfg.P, cfg.C))
+	if err := cfg.Validate(); err != nil {
+		panic("harness: " + err.Error())
 	}
 	cfg.Msg.InterDelay = cfg.Delay
 	m := &Machine{Cfg: cfg, Eng: sim.NewEngine(), bodies: make([]func(*Ctx), cfg.P)}
@@ -295,9 +296,6 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 	for i := range m.bodies {
 		m.bodies[i] = bodyFor(i)
 	}
-	if w := m.Cfg.EngineWorkers; w > 1 && m.parallelOK() {
-		m.Eng.Parallelize(m.Cfg.C, w, m.Net.Lookahead())
-	}
 	if err := m.Eng.Run(); err != nil {
 		return Result{}, err
 	}
@@ -315,54 +313,6 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 		Counters:   m.Stats.Counters(),
 		Fault:      m.Stats.Fault,
 	}, nil
-}
-
-// parallelOK reports whether this configuration is served by the
-// sharded parallel dispatcher. The gate is conservative: every feature
-// whose implementation reaches across SSMP boundaries outside the
-// message layer (or renders events to a strictly ordered trace) forces
-// the sequential dispatcher. The engine itself adds its own checks
-// (enough shards, no chooser, all events pinned); ineligible runs are
-// bit-identical by construction, so the gate is a pure performance
-// decision, never a correctness one.
-func (m *Machine) parallelOK() bool {
-	cfg := &m.Cfg
-	switch {
-	case cfg.Disabled:
-		// Null-MGS runs map pages via a single shared space with no
-		// inter-SSMP message latency to provide lookahead.
-		return false
-	case cfg.Obs.Tracing():
-		// Trace sinks receive events in global dispatch order.
-		return false
-	case cfg.Obs.Profiler() != nil:
-		// The profiler's attribution map is shared across processors.
-		return false
-	case cfg.Protocol.LazyRelease:
-		// Acquire-side validation reads home versions directly.
-		return false
-	case cfg.Protocol.MigrateAfter > 0:
-		// Home migration moves server records between SSMPs.
-		return false
-	case cfg.Protocol.UpdateProtocol:
-		// Update rounds refresh remote copies from the home frame.
-		return false
-	case cfg.Msg.Jitter > 0:
-		// Jitter draws from one shared deterministic stream.
-		return false
-	case m.DSM.DebugChecks:
-		return false
-	case !algo.IsDefaultLock(cfg.LockAlgo), !algo.IsDefaultBarrier(cfg.BarrierAlgo):
-		// Zoo algorithms keep per-object state (queues, brackets, round
-		// counters) that home-side handlers on different SSMPs mutate;
-		// only the token lock and tree barrier are shard-annotated.
-		return false
-	}
-	// The topology has the final word: contended topologies (Mesh2D,
-	// FatTree, Tiered) report zero lookahead — their link occupancy is
-	// shared state with no fixed latency floor — and provably fall back
-	// to sequential dispatch here. Uniform grants its latency bound.
-	return m.Net.Lookahead() > 0
 }
 
 func (m *Machine) lastClock() sim.Time {

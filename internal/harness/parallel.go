@@ -17,16 +17,6 @@ import (
 // internal/exp enforce this).
 var SweepWorkers = 0
 
-// EngineWorkers is the default Config.EngineWorkers applied by
-// NewConfig: the number of shard workers the event dispatcher may use
-// inside one simulation. Zero or one (the default) keeps the sequential
-// engine. Unlike SweepWorkers this parallelizes within a single run —
-// results remain bit-identical at any setting (the Config.EngineWorkers
-// doc lists the conditions under which a run falls back to sequential
-// dispatch). The -engine-workers flag of the command-line tools sets
-// this.
-var EngineWorkers = 0
-
 // DefaultTopology is the inter-SSMP topology NewConfig applies when no
 // WithTopology option overrides it. Nil (the default) means the paper's
 // uniform fixed-delay LAN. Topology specs are immutable; every machine

@@ -2,8 +2,8 @@ package analysis
 
 import "encoding/json"
 
-// Cross-package facts. The interprocedural analyzers (noalloc, detflow,
-// shardsafe) summarize every function of a package into a FuncFact so
+// Cross-package facts. The interprocedural analyzers (noalloc, detflow)
+// summarize every function of a package into a FuncFact so
 // callers in other packages can be checked without re-analyzing the
 // callee's source. Facts serialize as JSON: the standalone driver keeps
 // them in memory while analyzing packages in dependency order, and the
@@ -19,11 +19,6 @@ type PackageFacts struct {
 	// functions, "(Recv).Name" for methods, pointer receivers
 	// unwrapped — to its summary.
 	Funcs map[string]*FuncFact `json:"funcs,omitempty"`
-
-	// SharedTypes maps a named struct type's name to its //mgs:shared /
-	// field-annotation summary, so writes to its exported fields from
-	// other packages are checked against the same policy.
-	SharedTypes map[string]*SharedTypeFact `json:"shared_types,omitempty"`
 }
 
 // FuncFact summarizes one function or method.
@@ -41,20 +36,14 @@ type FuncFact struct {
 	// source. PropParams lists parameter indices whose taint flows to a
 	// return value, so callers propagate argument taint through the
 	// call.
-	TaintBits int    `json:"taint_bits,omitempty"`
-	TaintWhy  string `json:"taint_why,omitempty"`
-	PropParams []int `json:"prop_params,omitempty"`
+	TaintBits  int    `json:"taint_bits,omitempty"`
+	TaintWhy   string `json:"taint_why,omitempty"`
+	PropParams []int  `json:"prop_params,omitempty"`
 
 	// SinkParams lists parameters that the function (transitively)
 	// feeds into a determinism sink — charged cycles, the event
 	// schedule, or serialized output.
 	SinkParams []SinkParam `json:"sink_params,omitempty"`
-
-	// Unguarded lists writes to mutex-guarded shared fields that the
-	// function performs without acquiring the guard itself: the caller
-	// must hold it. Shardsafe checks these at every cross-package call
-	// site.
-	Unguarded []UnguardedWrite `json:"unguarded,omitempty"`
 }
 
 // Taint categories. Sort-cleansing removes only TaintMapOrder:
@@ -86,49 +75,12 @@ type SinkParam struct {
 	Why   string `json:"why"` // e.g. "charged cycles via Proc.Advance"
 }
 
-// UnguardedWrite is one shared-field write the function leaves for its
-// caller to guard.
-type UnguardedWrite struct {
-	Type  string `json:"type"`  // defining package path + type name, "pkg/path.Type"
-	Field string `json:"field"` // written field
-	Guard string `json:"guard"` // mutex field that must be held
-	Desc  string `json:"desc"`  // "file:line: write to Type.Field"
-}
-
-// SharedTypeFact summarizes the concurrency annotations of one struct
-// type.
-type SharedTypeFact struct {
-	// Shared marks the type //mgs:shared: every mutable-field write is
-	// checked, annotated or not.
-	Shared bool `json:"shared,omitempty"`
-
-	// Fields maps field name to its annotation.
-	Fields map[string]*FieldFact `json:"fields,omitempty"`
-}
-
-// FieldFact is one field-level annotation.
-type FieldFact struct {
-	// Kind is "guardedby", "atomic", or "shardpinned".
-	Kind string `json:"kind"`
-	// Arg is the guarding mutex field (guardedby) or the audit
-	// justification (shardpinned).
-	Arg string `json:"arg,omitempty"`
-}
-
 // Fact returns the FuncFact for id, or nil.
 func (p *PackageFacts) Fact(id string) *FuncFact {
 	if p == nil {
 		return nil
 	}
 	return p.Funcs[id]
-}
-
-// SharedType returns the SharedTypeFact for a type name, or nil.
-func (p *PackageFacts) SharedType(name string) *SharedTypeFact {
-	if p == nil {
-		return nil
-	}
-	return p.SharedTypes[name]
 }
 
 // EncodeFacts serializes facts for a .vetx file (deterministic JSON).

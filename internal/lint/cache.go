@@ -6,9 +6,9 @@ import (
 	"mgs/internal/lint/analysis"
 )
 
-// The interprocedural results (call graph, alloc/taint fixpoints, shard
-// residuals) are needed twice per package: once by ComputeFacts before
-// any analyzer runs, and once by the analyzer that reports from them.
+// The interprocedural results (call graph, alloc/taint fixpoints) are
+// needed twice per package: once by ComputeFacts before any analyzer
+// runs, and once by the analyzer that reports from them.
 // They are pure functions of the type-checked package, the allow list,
 // and the imported facts — all identical within one RunPackage — so a
 // process-wide memo keyed by the package's *types.Info (unique per
@@ -19,7 +19,6 @@ type pkgCache struct {
 	graph *callGraph
 	alloc map[*types.Func]*allocInfo
 	taint map[*types.Func]*taintResult
-	shard []*shardNode
 }
 
 var pkgCaches = map[*types.Info]*pkgCache{}
@@ -63,12 +62,4 @@ func taintFor(pass *analysis.Pass) map[*types.Func]*taintResult {
 		c.taint = computeTaint(pass, graphFor(pass))
 	}
 	return c.taint
-}
-
-func shardNodesFor(pass *analysis.Pass) []*shardNode {
-	c := cacheFor(pass)
-	if c.shard == nil {
-		c.shard = buildShardNodes(pass, annsFor(pass))
-	}
-	return c.shard
 }

@@ -136,21 +136,8 @@ func TestFactsRoundTrip(t *testing.T) {
 				TaintWhy:  "map iteration at msync.go:20",
 				PropParams: []int{0, 2},
 				SinkParams: []analysis.SinkParam{{Index: 1, Why: "charged cycles (Proc.Advance)"}},
-				Unguarded: []analysis.UnguardedWrite{{
-					Type: "mgs/internal/msync.System", Field: "locks", Guard: "Mu",
-					Desc: "msync.go:30: write to System.locks",
-				}},
 			},
 			"Clean": {},
-		},
-		SharedTypes: map[string]*analysis.SharedTypeFact{
-			"System": {
-				Shared: true,
-				Fields: map[string]*analysis.FieldFact{
-					"locks": {Kind: "guardedby", Arg: "Mu"},
-					"epoch": {Kind: "atomic"},
-				},
-			},
 		},
 	}
 	data, err := analysis.EncodeFacts(in)
@@ -170,7 +157,7 @@ func TestFactsRoundTrip(t *testing.T) {
 	if err != nil || np != nil {
 		t.Errorf("DecodeFacts(nil) = %v, %v; want nil, nil", np, err)
 	}
-	if np.Fact("anything") != nil || np.SharedType("T") != nil {
-		t.Error("nil PackageFacts accessors must return nil")
+	if np.Fact("anything") != nil {
+		t.Error("nil PackageFacts accessor must return nil")
 	}
 }

@@ -14,8 +14,8 @@ import "strings"
 // deterministicPkgs names the packages whose code executes on the
 // simulated path (engine events or Proc bodies). Everything in these
 // packages must be deterministic: no wall-clock time, no global
-// randomness, no goroutines or channels beyond the annotated parallel
-// dispatcher sites, no map-iteration-order dependence.
+// randomness, no goroutines or channels, no map-iteration-order
+// dependence.
 //
 // Host-side packages (harness, exp, stats, framework, cmd/*) drive
 // simulations and may use host facilities freely — with the one

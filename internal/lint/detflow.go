@@ -526,7 +526,7 @@ func intrinsicSink(f *types.Func) (string, bool) {
 	switch {
 	case isMethodOn(f, "sim", "Proc", "Advance", "Sleep", "AddDebt", "Wake"):
 		return "charged cycles (Proc." + f.Name() + ")", true
-	case isMethodOn(f, "sim", "Engine", "At", "AtOn", "AtSend", "AtChoiceSend", "After"):
+	case isMethodOn(f, "sim", "Engine", "At", "AtChoice", "After"):
 		return "the committed event order (Engine." + f.Name() + ")", true
 	case isMethodOn(f, "msg", "Network", "Send", "Extend"):
 		return "message timing (Network." + f.Name() + ")", true

@@ -9,17 +9,17 @@ import (
 
 // EngineCtx enforces the engine/processor context split documented in
 // internal/sim/proc.go: event callbacks (function literals scheduled
-// via Engine.At/After or delivered via Network.Send) run in engine
-// context, where only the engine-safe Proc methods (Wake, AddDebt,
-// HandlerStart, Parked, ...) are legal; the yielding methods (Sleep,
-// Park, Yield) and the clock-advancing Advance must only run in the
-// proc's own body coroutine. Violating this either panics in the
+// via Engine.At/AtChoice/After or delivered via Network.Send) run in
+// engine context, where only the engine-safe Proc methods (Wake,
+// AddDebt, HandlerStart, Parked, ...) are legal; the yielding methods
+// (Sleep, Park, Yield) and the clock-advancing Advance must only run in
+// the proc's own body coroutine. Violating this either panics in the
 // coroutine switch or advances a clock the engine believes is frozen.
 //
 // The analyzer builds a same-package call graph, seeds engine context
-// from every callback literal passed to At/After/Send, seeds proc
-// context from functions with a *sim.Proc receiver or parameter that
-// are not engine-reachable, and then:
+// from every callback literal passed to At/AtChoice/After/Send, seeds
+// proc context from functions with a *sim.Proc receiver or parameter
+// that are not engine-reachable, and then:
 //
 //   - rule 1: flags calls to Proc.Sleep/Park/Yield/Advance inside
 //     engine-reachable code that is not also proc-reachable (functions
@@ -55,7 +55,7 @@ func runEngineCtx(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				callee := calleeOf(info, call)
-				if isMethodOn(callee, "sim", "Engine", "At", "After") ||
+				if isMethodOn(callee, "sim", "Engine", "At", "AtChoice", "After") ||
 					isMethodOn(callee, "msg", "Network", "Send") ||
 					isMethodOn(callee, "sim", "Proc", "Wake") {
 					for _, a := range call.Args {

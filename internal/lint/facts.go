@@ -5,15 +5,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"mgs/internal/lint/analysis"
 )
 
 // ComputeFacts summarizes one type-checked package for cross-package
-// analysis: the allocation verdict, nondeterminism taint, sink
-// parameters, and caller-must-guard writes of every declared function,
-// plus the //mgs:shared annotation summaries of its types. Drivers call
+// analysis: the allocation verdict, nondeterminism taint, and sink
+// parameters of every declared function. Drivers call
 // it in dependency order — imported resolves the facts of packages
 // already analyzed — and thread the result to dependents (in memory
 // standalone, through .vetx files under go vet).
@@ -34,11 +32,9 @@ func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		ImportedFacts: imported,
 		Allow:         allow,
 	}
-	anns := annsFor(pass)
 	g := graphFor(pass)
 	allocs := allocInfoFor(pass)
 	taints := taintFor(pass)
-	shards := shardNodesFor(pass)
 
 	pf := &analysis.PackageFacts{
 		Path:  canonicalPath(pkg.Path()),
@@ -58,31 +54,10 @@ func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		}
 		pf.Funcs[funcID(fn)] = ff
 	}
-	for _, sn := range shards {
-		if sn.fn == nil {
-			continue // scheduled callbacks are not callable cross-package
-		}
-		ff := pf.Funcs[funcID(sn.fn)]
-		if ff == nil {
-			continue
-		}
-		var keys []string
-		for k := range sn.residual {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			e := sn.residual[k]
-			ff.Unguarded = append(ff.Unguarded, analysis.UnguardedWrite{
-				Type: e.typeKey, Field: e.field, Guard: e.guard, Desc: e.desc,
-			})
-		}
-	}
-	if len(anns.shared) > 0 {
-		pf.SharedTypes = map[string]*analysis.SharedTypeFact{}
-		for T, f := range anns.shared {
-			pf.SharedTypes[T.Obj().Name()] = f
-		}
-	}
 	return pf
+}
+
+func posString(fset *token.FileSet, p token.Pos) string {
+	pos := fset.Position(p)
+	return fmt.Sprintf("%s:%d", shortFile(pos.Filename), pos.Line)
 }

@@ -9,8 +9,8 @@ import (
 	"mgs/internal/lint/analysis"
 )
 
-// All returns the full analyzer suite in stable order: the five
-// intra-function analyzers first, then the three interprocedural ones
+// All returns the full analyzer suite in stable order: the six
+// intra-function analyzers first, then the two interprocedural ones
 // layered on the call graph and cross-package facts.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -19,7 +19,7 @@ func All() []*analysis.Analyzer {
 		MapRange,
 		ChargeCost,
 		EngineCtx,
-		ShardSafe,
+		PkgVar,
 		NoAlloc,
 		DetFlow,
 	}

@@ -32,9 +32,9 @@ func TestEngineCtx(t *testing.T) {
 		"mgs/internal/sim", "mgs/internal/core")
 }
 
-func TestShardSafe(t *testing.T) {
-	analysistest.Run(t, "testdata/shardsafe", lint.ShardSafe,
-		"mgs/internal/msync", "mgs/internal/core")
+func TestPkgVar(t *testing.T) {
+	analysistest.Run(t, "testdata/pkgvar", lint.PkgVar,
+		"mgs/internal/msync", "mgs/internal/harness")
 }
 
 func TestNoAlloc(t *testing.T) {

@@ -60,9 +60,7 @@ type allocInfo struct {
 func runNoAlloc(pass *analysis.Pass) error {
 	anns := annsFor(pass)
 	for _, b := range anns.bad {
-		if b.owner == "noalloc" {
-			pass.Reportf(b.pos, "%s", b.msg)
-		}
+		pass.Reportf(b.pos, "%s", b.msg)
 	}
 	if len(anns.noalloc) == 0 {
 		return nil

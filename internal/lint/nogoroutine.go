@@ -10,12 +10,10 @@ import (
 
 // NoGoroutine forbids spawning goroutines and using channels in
 // deterministic packages (plus internal/harness). Processors are
-// runtime coroutines, so the sequential engine needs neither; the only
-// sanctioned sites are the parallel dispatcher's worker pool and window
-// barrier (sim/parallel.go) and the harness sweep worker pool, all
-// annotated with //mgslint:allow. Any other goroutine or channel
-// operation hands event ordering to the Go scheduler and breaks
-// bit-for-bit reproducibility.
+// runtime coroutines, so the engine needs neither; the only sanctioned
+// site is the harness sweep worker pool, annotated with
+// //mgslint:allow. Any other goroutine or channel operation hands event
+// ordering to the Go scheduler and breaks bit-for-bit reproducibility.
 var NoGoroutine = &analysis.Analyzer{
 	Name: "nogoroutine",
 	Doc: "forbid go statements and channel operations in deterministic packages " +
@@ -32,7 +30,7 @@ func runNoGoroutine(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "go statement hands scheduling to the Go runtime in deterministic package %s; only the parallel dispatcher and the sweep worker pool may spawn", pass.Pkg.Path())
+				pass.Reportf(n.Pos(), "go statement hands scheduling to the Go runtime in deterministic package %s; only the sweep worker pool may spawn", pass.Pkg.Path())
 			case *ast.SendStmt:
 				pass.Reportf(n.Pos(), "channel send outside the engine handshake: channel ordering is scheduler-dependent")
 			case *ast.UnaryExpr:

@@ -107,3 +107,17 @@ func Clean(a, b int) int {
 func Dirty(n int) []int {
 	return make([]int, n)
 }
+
+// A misplaced or misspelled directive is a diagnostic, not a silently
+// ignored comment.
+//
+//mgs:noalloc // want `misplaced //mgs: directive`
+type pinned struct {
+	n int //mgs:frozen // want `misplaced //mgs: directive`
+}
+
+// Twice carries a misspelled directive and a malformed one.
+//
+//mgs:nolloc // want `//mgs:nolloc is not a directive`
+//mgs:noalloc extra // want `//mgs:noalloc takes no arguments`
+func Twice(s *pinned) int { return s.n }

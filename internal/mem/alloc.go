@@ -7,10 +7,8 @@ package mem
 // distinct physical tag for the cache model.
 //
 // Each SSMP owns one allocator (a disjoint ID region via base), so
-// allocation is shard-local state under the parallel dispatcher: no
-// cross-shard ordering can leak into frame IDs, and a shard's
-// alloc/recycle sequence — hence every ID it hands out — is identical
-// between the sequential and parallel engines.
+// allocation is per-SSMP state: no cross-SSMP ordering can leak into
+// frame IDs.
 type FrameAllocator struct {
 	base     uint64
 	next     uint64

@@ -88,8 +88,7 @@ func (m *Mesh2D) Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) si
 	return crossRoute(occ, m.Route(a, b), depart, bytes)
 }
 
-// Lookahead is 0: a contended mesh latency has no fixed lower bound the
-// engine can exploit, so the parallel dispatcher must fall back.
+// Lookahead is 0: a contended mesh latency has no fixed lower bound.
 func (m *Mesh2D) Lookahead() sim.Time { return 0 }
 
 func (m *Mesh2D) Describe() string {

@@ -2,8 +2,6 @@ package msg
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"mgs/internal/fault"
 	"mgs/internal/obs"
@@ -73,12 +71,6 @@ func (cs *chanState) mark(seq int64) {
 }
 
 // pending is one logical message in flight through the faulty LAN.
-//
-// Under the parallel dispatcher the fields split cleanly by shard:
-// stream, attempts, rto, acked and firstEst are touched only by
-// sender-shard events (send/attempt/timer/ack-arrival), ackStream only
-// by receiver-shard events (sendAck), and everything else is immutable
-// after send. Window barriers order the cross-shard handoffs.
 type pending struct {
 	id        uint64
 	key       chanKey
@@ -99,14 +91,14 @@ type pending struct {
 // engine context, so the machinery is deterministic by construction —
 // message ids and fate streams key off channel coordinates and
 // per-channel sequence numbers, never off a global dispatch-order
-// counter, so the same fates fire whether the engine runs sequentially
-// or sharded.
+// counter, so a message's fates depend only on its own channel's
+// history. Like its Network, it belongs to one machine and is not safe
+// for concurrent use.
 type injector struct {
 	net  *Network
 	plan fault.Plan
 	fs   *stats.Fault
 
-	mu    sync.Mutex // guards chans (lazy creation races across shards)
 	chans map[chanKey]*chanState
 }
 
@@ -167,18 +159,13 @@ func (in *injector) emit(t sim.Time, name string, from, to int, seq int64, id ui
 	o.Emit(obs.Event{T: t, Proc: -1, Cat: obs.Transport, Name: name, Detail: detail})
 }
 
-// chanOf returns (creating if needed) the channel state for key. The
-// mutex covers only the map: a channel's sender fields are touched only
-// from the sender's shard and its receiver fields only from the
-// receiver's, so the state itself needs no lock.
+// chanOf returns (creating if needed) the channel state for key.
 func (in *injector) chanOf(key chanKey) *chanState {
-	in.mu.Lock()
 	cs, ok := in.chans[key]
 	if !ok {
 		cs = &chanState{beyond: make(map[int64]bool)}
 		in.chans[key] = cs
 	}
-	in.mu.Unlock()
 	return cs
 }
 
@@ -186,16 +173,14 @@ func (in *injector) chanOf(key chanKey) *chanState {
 // into the transport's message identity. Processor numbers fit 16 bits
 // and no channel carries 2^32 messages, so ids are unique — and, unlike
 // a global allocation counter, independent of the order channels
-// interleave, which keeps fate streams identical across sequential and
-// parallel dispatch.
+// interleave.
 func msgID(key chanKey, seq int64) uint64 {
 	return uint64(key.from)<<48 | uint64(key.to)<<32 | uint64(seq)
 }
 
 // send enters one logical inter-SSMP message into the reliable
 // transport: assign its sequence number, seed its fate streams from the
-// plan and message id, and launch attempt zero. Runs in the sending
-// processor's shard context.
+// plan and message id, and launch attempt zero.
 func (in *injector) send(from, to int, when sim.Time, bytes int, extra sim.Time, fn func(done sim.Time)) {
 	key := chanKey{from, to}
 	cs := in.chanOf(key)
@@ -204,14 +189,15 @@ func (in *injector) send(from, to int, when sim.Time, bytes int, extra sim.Time,
 	m := &pending{
 		id: id, key: key, seq: cs.nextSeq,
 		bytes: bytes, extra: extra, fn: fn,
-		// Separate streams per side: attempt fates are drawn on the
-		// sender's shard, ack fates on the receiver's, so sharing one
-		// splitmix64 state would race. The high bit splits the id space.
+		// Separate streams per side: attempt fates and ack fates are
+		// drawn independently, so neither sequence depends on how
+		// attempts and acks interleave. The high bit splits the id
+		// space.
 		stream:    in.plan.Stream(id),
 		ackStream: in.plan.Stream(id | 1<<63),
 		rto:       in.net.costs.RetryTimeout,
 	}
-	atomic.AddInt64(&in.fs.Messages, 1)
+	in.fs.Messages++
 	in.attempt(m, when)
 }
 
@@ -222,7 +208,7 @@ func (in *injector) attempt(m *pending, when sim.Time) {
 	n := in.net
 	m.attempts++
 	if m.attempts > n.costs.RetryLimit {
-		n.eng.StopOn(n.procs[m.key.from], fmt.Errorf(
+		n.eng.Stop(fmt.Errorf(
 			"msg: message %d (%d->%d seq %d) undeliverable after %d attempts — loss rate too high for the retry limit",
 			m.id, m.key.from, m.key.to, m.seq, n.costs.RetryLimit))
 		return
@@ -238,38 +224,36 @@ func (in *injector) attempt(m *pending, when sim.Time) {
 	f := in.plan.NextAttempt(&m.stream)
 	switch {
 	case f.Drop:
-		atomic.AddInt64(&in.fs.Dropped, 1)
+		in.fs.Dropped++
 		in.emit(when, "DROP", m.key.from, m.key.to, m.seq, m.id, "attempt=%d", m.attempts)
 	default:
 		if f.Extra > 0 {
-			atomic.AddInt64(&in.fs.Delayed, 1)
-			atomic.AddInt64(&in.fs.DelayCycles, int64(f.Extra))
+			in.fs.Delayed++
+			in.fs.DelayCycles += int64(f.Extra)
 			in.emit(when, "DELAY", m.key.from, m.key.to, m.seq, m.id, "extra=%d attempt=%d", f.Extra, m.attempts)
 		}
 		in.deliverAt(m, arrive+f.Extra)
 		if f.Dup {
-			atomic.AddInt64(&in.fs.Duplicated, 1)
+			in.fs.Duplicated++
 			in.emit(when, "DUP", m.key.from, m.key.to, m.seq, m.id, "lag=%d attempt=%d", f.DupExtra, m.attempts)
 			in.deliverAt(m, arrive+f.Extra+f.DupExtra)
 		}
 	}
 	// Retransmission timer: a simulated timer interrupt on the sender.
 	// If the ack beat it, it is a no-op; otherwise the next attempt
-	// departs now with a doubled (capped) timeout. Sender-local, so the
-	// event is pinned to the sending processor and constrains no
-	// lookahead window.
+	// departs now with a doubled (capped) timeout.
 	fire := when + m.rto
 	m.rto *= 2
 	if m.rto > n.costs.RetryTimeoutMax {
 		m.rto = n.costs.RetryTimeoutMax
 	}
-	n.eng.AtOn(n.procs[m.key.from], fire, func() {
+	n.eng.At(fire, func() {
 		if m.acked {
 			return
 		}
-		atomic.AddInt64(&in.fs.Timeouts, 1)
-		atomic.AddInt64(&in.fs.Retransmits, 1)
-		atomic.AddInt64(&in.fs.RetransBytes, int64(m.bytes))
+		in.fs.Timeouts++
+		in.fs.Retransmits++
+		in.fs.RetransBytes += int64(m.bytes)
 		n.chargeHandler(m.key.from, n.costs.RetransmitWork)
 		in.emit(fire, "TIMEOUT", m.key.from, m.key.to, m.seq, m.id, "rto=%d -> RETRANSMIT attempt=%d", fire-when, m.attempts+1)
 		in.attempt(m, fire)
@@ -283,22 +267,22 @@ func (in *injector) attempt(m *pending, when sim.Time) {
 // the previous ack was lost, so the receiver re-acks.
 func (in *injector) deliverAt(m *pending, arrive sim.Time) {
 	n := in.net
-	src, dst := n.procs[m.key.from], n.procs[m.key.to]
-	n.eng.AtSend(src, dst, arrive, func() {
+	dst := n.procs[m.key.to]
+	n.eng.At(arrive, func() {
 		cs := in.chanOf(m.key)
 		if cs.seen(m.seq) {
-			atomic.AddInt64(&in.fs.DupSuppressed, 1)
+			in.fs.DupSuppressed++
 			in.emit(arrive, "DUPDROP", m.key.from, m.key.to, m.seq, m.id, "(already delivered)")
 		} else {
 			cs.mark(m.seq)
 			if arrive > m.firstEst {
-				atomic.AddInt64(&in.fs.RecoveryCycles, int64(arrive-m.firstEst))
+				in.fs.RecoveryCycles += int64(arrive - m.firstEst)
 			}
 			cost := n.costs.HandlerEntry + m.extra
 			start := dst.HandlerStart(arrive, cost)
 			n.chargeHandler(m.key.to, cost)
 			fn := m.fn
-			n.eng.AtOn(dst, start+cost, func() { fn(start + cost) })
+			n.eng.At(start+cost, func() { fn(start + cost) })
 		}
 		in.sendAck(m, arrive)
 	})
@@ -311,14 +295,14 @@ func (in *injector) deliverAt(m *pending, arrive sim.Time) {
 // retransmission (suppressed at the receiver) provokes a fresh ack.
 func (in *injector) sendAck(m *pending, at sim.Time) {
 	n := in.net
-	atomic.AddInt64(&in.fs.Acks, 1)
+	in.fs.Acks++
 	if in.plan.AckDropped(&m.ackStream) {
-		atomic.AddInt64(&in.fs.AckDropped, 1)
+		in.fs.AckDropped++
 		in.emit(at, "ACKDROP", m.key.to, m.key.from, m.seq, m.id, "")
 		return
 	}
 	arrive := at + n.Latency(m.key.to, m.key.from, n.costs.AckBytes) + n.jitter()
-	n.eng.AtSend(n.procs[m.key.to], n.procs[m.key.from], arrive, func() {
+	n.eng.At(arrive, func() {
 		if !m.acked {
 			m.acked = true
 			in.emit(arrive, "ACK", m.key.to, m.key.from, m.seq, m.id, "")

@@ -18,14 +18,10 @@ import (
 // over a 2D mesh), FatTree (bandwidth fattens toward the root), and Tiered
 // (LAN sites joined by thin, slow WAN links).
 //
-// Every topology also reports its own conservative PDES lookahead.
-// Uniform has a fixed latency floor and no shared state, so the
-// parallel dispatcher may advance shards by InterOverhead+InterDelay.
-// The contended topologies route through a shared Occupancy — sender-
-// shard events would mutate it concurrently — and their queueing delay
-// has no fixed lower bound, so they return 0 and the engine provably
-// falls back to sequential dispatch (harness.parallelOK gates on
-// Network.Lookahead() > 0).
+// Every topology also reports its minimum cross-SSMP latency
+// (Lookahead). Uniform has a fixed floor of InterOverhead+InterDelay;
+// the contended topologies queue messages through a shared Occupancy
+// with no fixed lower bound on the delay, so they report 0.
 
 // Link is one directed edge of an inter-SSMP topology. Node numbers are
 // SSMP ids in [0, nssmp); switch nodes use ids >= nssmp. A Link carries
@@ -39,9 +35,8 @@ type Link struct {
 
 // Occupancy models deterministic store-and-forward contention: each
 // directed link serializes the messages that cross it. The map is
-// lookup-only (never ranged), so determinism is preserved; contended
-// topologies force the sequential dispatcher (Lookahead 0), so no lock
-// is needed.
+// lookup-only (never ranged), so determinism is preserved. It belongs
+// to one machine's Network and is not safe for concurrent use.
 type Occupancy struct {
 	busy map[Link]sim.Time
 	wait *int64 // accumulates queueing delay (Counters.LinkWaitCycles)
@@ -77,9 +72,8 @@ type Topology interface {
 	// SSMP a at depart (send overhead and the software stack cost
 	// already paid), updating occ with the links it occupies.
 	Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) sim.Time
-	// Lookahead is the conservative PDES lookahead this topology
-	// grants: a lower bound on (arrival - depart) for any cross-SSMP
-	// message, or 0 if contention makes no bound safe.
+	// Lookahead is a lower bound on (arrival - depart) for any
+	// cross-SSMP message, or 0 if contention makes no bound safe.
 	Lookahead() sim.Time
 	// Describe names the topology and its resolved parameters.
 	Describe() string
@@ -131,8 +125,7 @@ func ByName(name string) (Topology, error) {
 func TopologyNames() []string { return []string{"uniform", "mesh", "fattree", "tiered"} }
 
 // Uniform is the paper's emulated LAN: every inter-SSMP message pays
-// the same fixed InterDelay plus DMA transfer, with no contention. Its
-// latency floor gives the parallel engine a real lookahead window.
+// the same fixed InterDelay plus DMA transfer, with no contention.
 type Uniform struct {
 	delay sim.Time
 	oh    sim.Time
@@ -257,8 +250,7 @@ func (f *FatTree) Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) s
 	return crossRoute(occ, f.Route(a, b), depart, bytes)
 }
 
-// Lookahead is 0: queueing at shared tree links has no fixed bound, so
-// the engine must fall back to sequential dispatch.
+// Lookahead is 0: queueing at shared tree links has no fixed bound.
 func (f *FatTree) Lookahead() sim.Time { return 0 }
 
 func (f *FatTree) Describe() string {
@@ -336,8 +328,7 @@ func (t *Tiered) Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) si
 	return crossRoute(occ, t.Route(a, b), depart, bytes)
 }
 
-// Lookahead is 0: WAN trunk queueing has no fixed bound, so the engine
-// must fall back to sequential dispatch.
+// Lookahead is 0: WAN trunk queueing has no fixed bound.
 func (t *Tiered) Lookahead() sim.Time { return 0 }
 
 func (t *Tiered) Describe() string {

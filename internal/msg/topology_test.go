@@ -83,9 +83,9 @@ func TestArrivalTriangleInequality(t *testing.T) {
 	}
 }
 
-// TestLookaheadContract pins the parallel-engine contract: the
-// uniform LAN grants its latency floor; every contended topology
-// reports 0, forcing the provable sequential fallback.
+// TestLookaheadContract pins each topology's minimum cross-SSMP
+// latency: the uniform LAN reports its fixed floor; every contended
+// topology reports 0, because link queueing has no fixed lower bound.
 func TestLookaheadContract(t *testing.T) {
 	topos := sizedTopos(t, 16)
 	if got := topos["uniform"].Lookahead(); got != 100+800 {
@@ -93,7 +93,7 @@ func TestLookaheadContract(t *testing.T) {
 	}
 	for _, name := range []string{"mesh", "fattree", "tiered"} {
 		if got := topos[name].Lookahead(); got != 0 {
-			t.Fatalf("%s lookahead = %d, want 0 (contended topologies must force sequential dispatch)", name, got)
+			t.Fatalf("%s lookahead = %d, want 0 (contended topologies have no latency floor)", name, got)
 		}
 	}
 }

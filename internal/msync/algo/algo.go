@@ -30,6 +30,10 @@
 //   - trace emission costs nothing simulated and is guarded by
 //     Env.Tracing, so an untraced run never builds the variadic
 //     arguments.
+//
+// Every lock and barrier instance belongs to one machine and is not
+// safe for concurrent use: its state, hit counts included, is plain
+// fields touched only by that machine's engine.
 package algo
 
 import "mgs/internal/sim"
@@ -71,8 +75,8 @@ type Env interface {
 	CountCS(held sim.Time)
 
 	// Handoff wakes the parked processor to from the running processor
-	// from of the same SSMP: an engine event pinned to to, scheduled d
-	// cycles after from's clock. The wake time is from's clock plus d as
+	// from of the same SSMP: an engine event scheduled d cycles after
+	// from's clock. The wake time is from's clock plus d as
 	// read when the event runs, so a releaser that ran ahead in the
 	// meantime delays the waiter's wake to match.
 	Handoff(from, to *sim.Proc, d sim.Time)
@@ -137,17 +141,9 @@ var (
 	barrierAlgos = []BarrierAlgo{Dissemination{}, MCSTree{}, Sense{}, TournamentBarrier{}, Tree{}}
 )
 
-// IsDefaultLock reports whether name selects the token lock (empty
-// means default).
-func IsDefaultLock(name string) bool { return name == "" || name == DefaultLock }
-
-// IsDefaultBarrier reports whether name selects the tree barrier (empty
-// means default).
-func IsDefaultBarrier(name string) bool { return name == "" || name == DefaultBarrier }
-
 // LockByName resolves a -lock selection.
 func LockByName(name string) (LockAlgo, error) {
-	if IsDefaultLock(name) {
+	if name == "" {
 		name = DefaultLock
 	}
 	for _, a := range lockAlgos {
@@ -160,7 +156,7 @@ func LockByName(name string) (LockAlgo, error) {
 
 // BarrierByName resolves a -barrier selection.
 func BarrierByName(name string) (BarrierAlgo, error) {
-	if IsDefaultBarrier(name) {
+	if name == "" {
 		name = DefaultBarrier
 	}
 	for _, a := range barrierAlgos {

@@ -46,14 +46,12 @@ type dissemNode struct {
 }
 
 // dissemBarrier is the set of per-SSMP nodes.
-//
-//mgs:shared
 type dissemBarrier struct {
 	env    Env
 	id     int
 	rounds int
 
-	nodes []dissemNode //mgs:shardpinned each node is touched only by its own SSMP's handlers; sequential dispatcher enforced for non-default algorithms
+	nodes []dissemNode // each node is touched only by its own SSMP's handlers
 }
 
 // Arrive implements Barrier: combine locally; the SSMP's last arriver

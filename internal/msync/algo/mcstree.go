@@ -32,15 +32,13 @@ type mcsTreeNode struct {
 }
 
 // mcsTreeBarrier is the tree; SSMP 0 is the root.
-//
-//mgs:shared
 type mcsTreeBarrier struct {
 	env Env
 	id  int
 
-	nodes []mcsTreeNode //mgs:shardpinned each node is touched only by its own SSMP's handlers; sequential dispatcher enforced for non-default algorithms
+	nodes []mcsTreeNode // each node is touched only by its own SSMP's handlers
 
-	episodes int64 //mgs:shardpinned root-side handlers only; sequential dispatcher enforced for non-default algorithms
+	episodes int64 // root-side handlers only
 }
 
 // nkids counts SSMP s's arrival-tree children.

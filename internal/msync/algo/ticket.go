@@ -1,10 +1,6 @@
 package algo
 
-import (
-	"sync/atomic"
-
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
 // Ticket is the centralized ticket lock: every acquire draws a ticket
 // at the lock's home processor and is granted in strict ticket order.
@@ -26,31 +22,27 @@ func (Ticket) NewLock(env Env, id, home int) Lock {
 	return &ticketLock{env: env, id: id, home: home % env.NProcs()}
 }
 
-// ticketLock state lives at the home processor's handlers; the shim
-// layer never runs two handlers concurrently because non-default
-// algorithms veto the parallel dispatcher (harness parallelOK).
-//
-//mgs:shared
+// ticketLock state lives at the home processor's handlers.
 type ticketLock struct {
 	env  Env
 	id   int
 	home int
 
-	nextTicket int64       //mgs:shardpinned home-side handlers only; sequential dispatcher enforced for non-default algorithms
-	nowServing int64       //mgs:shardpinned home-side handlers only; sequential dispatcher enforced for non-default algorithms
-	queue      []*sim.Proc //mgs:shardpinned home-side handlers only; FIFO by home arrival
+	nextTicket int64       // home-side handlers only
+	nowServing int64       // home-side handlers only
+	queue      []*sim.Proc // home-side handlers only; FIFO by home arrival
 
-	heldSince sim.Time //mgs:shardpinned single holder at a time; sequential dispatcher enforced for non-default algorithms
+	heldSince sim.Time // single holder at a time
 
-	hits  int64 //mgs:atomic
-	total int64 //mgs:atomic
+	hits  int64
+	total int64
 }
 
 // Acquire implements Lock: request a ticket from the home and park
 // until the grant message wakes us.
 func (l *ticketLock) Acquire(p *sim.Proc) {
 	e := l.env
-	atomic.AddInt64(&l.total, 1)
+	l.total++
 	e.ChargeLock(p, e.LockOp())
 	if e.Tracing() {
 		e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REQ", "proc=%d", p.ID)
@@ -93,7 +85,7 @@ func (l *ticketLock) grant(p *sim.Proc, at sim.Time) {
 func (l *ticketLock) onGrant(p *sim.Proc, at sim.Time) {
 	e := l.env
 	if e.SSMPOf(p.ID) == e.SSMPOf(l.home) {
-		atomic.AddInt64(&l.hits, 1)
+		l.hits++
 	}
 	l.heldSince = at + e.LockOp()
 	p.Wake(at + e.LockOp())
@@ -129,7 +121,7 @@ func (l *ticketLock) onRel(at sim.Time) {
 
 // Stats implements Lock.
 func (l *ticketLock) Stats() (hits, total int64) {
-	return atomic.LoadInt64(&l.hits), atomic.LoadInt64(&l.total)
+	return l.hits, l.total
 }
 
 // Dump implements Lock.

@@ -1,10 +1,6 @@
 package algo
 
-import (
-	"sync/atomic"
-
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
 // Token is the MGS lock of paper §3.2, the default: a local lock per
 // SSMP plus one global lock (the token home). Acquires succeed locally
@@ -30,28 +26,23 @@ func (Token) NewLock(env Env, id, home int) Lock {
 }
 
 // tokenLock is one token-based distributed lock.
-//
-//mgs:shared
 type tokenLock struct {
 	env  Env
 	id   int
 	home int // global processor hosting the global lock
 
-	local []tokenLocal //mgs:shardpinned each element is touched only by its own SSMP's shard
+	local []tokenLocal // element s is touched only by SSMP s
 
 	// Global-lock state: lives at home, mutated only by home-side
-	// handlers — under the parallel dispatcher that makes it shard-local
-	// to the home's shard.
-	tokenOwner int   //mgs:shardpinned home-side handlers only
-	reqQueue   []int //mgs:shardpinned home-side handlers only; FIFO of waiting SSMPs
-	demandOut  bool  //mgs:shardpinned home-side handlers only; a DEMAND is outstanding
+	// handlers.
+	tokenOwner int   // home-side handlers only
+	reqQueue   []int // home-side handlers only; FIFO of waiting SSMPs
+	demandOut  bool  // home-side handlers only; a DEMAND is outstanding
 
-	// hits/total update atomically: acquires on different SSMPs run on
-	// different shards concurrently.
-	hits  int64 //mgs:atomic
-	total int64 //mgs:atomic
+	hits  int64
+	total int64
 
-	heldSince sim.Time //mgs:shardpinned only the token-holding SSMP touches it; token transfer crosses a window barrier
+	heldSince sim.Time // only the token-holding SSMP touches it
 }
 
 // tokenLocal is the per-SSMP half of a distributed lock.
@@ -70,13 +61,13 @@ func (l *tokenLock) Acquire(p *sim.Proc) {
 	e := l.env
 	s := e.SSMPOf(p.ID)
 	ll := &l.local[s]
-	atomic.AddInt64(&l.total, 1)
+	l.total++
 	e.ChargeLock(p, e.LockOp())
 
 	if ll.hasToken && !ll.held {
 		ll.held = true
 		l.heldSince = p.Clock()
-		atomic.AddInt64(&l.hits, 1)
+		l.hits++
 		return
 	}
 	ll.waitQ = append(ll.waitQ, p)
@@ -132,7 +123,7 @@ func (l *tokenLock) Release(p *sim.Proc) {
 		ll.waitQ = ll.waitQ[1:]
 		ll.held = true
 		l.heldSince = p.Clock() + e.LockOp()
-		atomic.AddInt64(&l.hits, 1)
+		l.hits++
 		if e.Tracing() {
 			e.EmitLock(p.Clock(), p.ID, l.id, "HANDOFF", "releaser=%d(clk %d) next=%d(clk %d)", p.ID, p.Clock(), next.ID, next.Clock())
 		}
@@ -244,7 +235,7 @@ func (l *tokenLock) onTokenGrant(s int, at sim.Time) {
 
 // Stats implements Lock.
 func (l *tokenLock) Stats() (hits, total int64) {
-	return atomic.LoadInt64(&l.hits), atomic.LoadInt64(&l.total)
+	return l.hits, l.total
 }
 
 // Dump implements Lock.

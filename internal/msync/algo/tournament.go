@@ -1,10 +1,6 @@
 package algo
 
-import (
-	"sync/atomic"
-
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
 // Tournament is a tournament (arbiter-tree) lock: a static binary tree
 // over the machine's SSMPs, each node hosted by the leftmost SSMP of
@@ -76,26 +72,24 @@ type tourNode struct {
 
 // tourLock is the tree. Node state is touched only by handlers at the
 // node's host.
-//
-//mgs:shared
 type tourLock struct {
 	env Env
 	id  int
 
-	nodes []tourNode //mgs:shardpinned each node is touched only by its host SSMP's handlers; sequential dispatcher enforced for non-default algorithms
-	leaf  []int      //mgs:shardpinned immutable after construction
+	nodes []tourNode // each node is touched only by its host SSMP's handlers
+	leaf  []int      // immutable after construction
 
-	heldSince sim.Time //mgs:shardpinned single holder at a time; sequential dispatcher enforced for non-default algorithms
+	heldSince sim.Time // single holder at a time
 
-	hits  int64 //mgs:atomic
-	total int64 //mgs:atomic
+	hits  int64
+	total int64
 }
 
 // Acquire implements Lock: enter the tree at this SSMP's leaf and park;
 // the climb proceeds entirely in handlers.
 func (l *tourLock) Acquire(p *sim.Proc) {
 	e := l.env
-	atomic.AddInt64(&l.total, 1)
+	l.total++
 	e.ChargeLock(p, e.LockOp())
 	s := e.SSMPOf(p.ID)
 	ni := l.leaf[s]
@@ -151,7 +145,7 @@ func (l *tourLock) ascend(w tourWaiter, ni int, at sim.Time) {
 func (l *tourLock) grant(p *sim.Proc, crossed bool, at sim.Time) {
 	e := l.env
 	if !crossed {
-		atomic.AddInt64(&l.hits, 1)
+		l.hits++
 	}
 	l.heldSince = at + e.LockOp()
 	p.Wake(at + e.LockOp())
@@ -193,7 +187,7 @@ func (l *tourLock) release(ni int, at sim.Time) {
 
 // Stats implements Lock.
 func (l *tourLock) Stats() (hits, total int64) {
-	return atomic.LoadInt64(&l.hits), atomic.LoadInt64(&l.total)
+	return l.hits, l.total
 }
 
 // Dump implements Lock.

@@ -18,17 +18,15 @@ func (Tree) NewBarrier(env Env, id, home int) Barrier {
 }
 
 // treeBarrier is one two-level tree barrier.
-//
-//mgs:shared
 type treeBarrier struct {
 	env  Env
 	id   int
 	home int // global processor hosting the top of the tree
 
-	local   []gate //mgs:shardpinned each combining node is touched only by its own SSMP's shard
-	arrived int    //mgs:shardpinned home-side handlers only; SSMPs combined this episode
+	local   []gate // element s is touched only by SSMP s
+	arrived int    // home-side handlers only; SSMPs combined this episode
 
-	episodes int64 //mgs:shardpinned home-side handlers only
+	episodes int64 // home-side handlers only
 }
 
 // Arrive implements Barrier: count in locally; the SSMP's last arriver

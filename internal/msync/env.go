@@ -57,11 +57,11 @@ func (e algoEnv) CountCS(held sim.Time) {
 	e.m.st.Count("lock.cs", 1)
 }
 
-// Handoff keeps the wake a separate engine event pinned to the waiter
-// (same SSMP as the releaser), so a local handoff never looks like a
-// cross-shard event to the parallel dispatcher.
+// Handoff wakes the waiter from a separate engine event: the releaser
+// calls it from its body, and Proc.Wake runs only in engine context.
+// The wake time reads the releaser's clock when that event runs.
 func (e algoEnv) Handoff(from, to *sim.Proc, d sim.Time) {
-	e.m.eng.AtOn(to, from.Clock()+d, func() { to.Wake(from.Clock() + d) })
+	e.m.eng.At(from.Clock()+d, func() { to.Wake(from.Clock() + d) })
 }
 
 func (e algoEnv) Tracing() bool { return e.m.Obs.Tracing() }

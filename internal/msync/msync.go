@@ -25,7 +25,6 @@ package msync
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mgs/internal/core"
 	"mgs/internal/msg"
@@ -47,9 +46,8 @@ func DefaultCosts() Costs {
 	return Costs{LockOp: 60, BarrierOp: 60, TokenWork: 120}
 }
 
-// System manages the locks and barriers of one machine.
-//
-//mgs:shared
+// System manages the locks and barriers of one machine. It belongs to
+// that machine's engine and is not safe for concurrent use.
 type System struct {
 	eng   *sim.Engine
 	dsm   *core.System
@@ -62,12 +60,9 @@ type System struct {
 	lockAlgo    algo.LockAlgo
 	barrierAlgo algo.BarrierAlgo
 
-	// mu guards lazy creation in the locks and barriers maps:
-	// processors on different shards of the parallel dispatcher can
-	// reach a primitive's first use concurrently.
-	mu       sync.Mutex
-	locks    map[int]algo.Lock    //mgs:guardedby mu
-	barriers map[int]algo.Barrier //mgs:guardedby mu
+	// Primitives are created lazily, on first use.
+	locks    map[int]algo.Lock
+	barriers map[int]algo.Barrier
 
 	// Obs is the observability spine; nil or sink-less keeps the trace
 	// path structurally detached.
@@ -126,16 +121,7 @@ func (m *System) Lock(id int) algo.Lock { return m.LockHomed(id, id%m.p) }
 // LockHomed returns lock id, creating it with its home on the given
 // processor (a lock placed with the data it protects, as the paper's
 // per-molecule locks are). The home only takes effect at creation.
-// Creation is guarded: processors on different shards can reach a
-// lock's first use concurrently, and the created state is a pure
-// function of (id, home), so whichever racer registers it wins without
-// affecting the simulation.
 func (m *System) LockHomed(id, home int) algo.Lock {
-	// The ci:race-sentinel markers let CI's mutation step delete exactly
-	// these two lines and prove shardsafe still finds the unguarded
-	// lock-map insert.
-	m.mu.Lock()         // ci:race-sentinel
-	defer m.mu.Unlock() // ci:race-sentinel
 	if l, ok := m.locks[id]; ok {
 		return l
 	}
@@ -146,11 +132,8 @@ func (m *System) LockHomed(id, home int) algo.Lock {
 }
 
 // Barrier returns the barrier with the given id, creating it on first
-// use with its home at processor id mod P. Creation is guarded like
-// LockHomed's.
+// use with its home at processor id mod P.
 func (m *System) Barrier(id int) algo.Barrier {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if b, ok := m.barriers[id]; ok {
 		return b
 	}
@@ -183,8 +166,6 @@ func (m *System) DumpState(f func(format string, args ...any)) {
 // The model checker asserts this at the end of every delivery
 // interleaving.
 func (m *System) Quiescent() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, id := range sortedIDs(m.locks) {
 		if err := m.locks[id].Quiescent(); err != nil {
 			return err
@@ -212,8 +193,6 @@ func sortedIDs[V any](m map[int]V) []int {
 // LockStats aggregates hit/total across the given locks (all locks if
 // ids is empty).
 func (m *System) LockStats(ids ...int) (hits, total int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(ids) == 0 {
 		for _, l := range m.locks {
 			h, t := l.Stats()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Registry is the metrics registry: named counters, gauges, and
@@ -14,20 +12,11 @@ import (
 // Snapshots are deterministic: names sort lexicographically and
 // histogram bucket layouts are fixed at registration.
 //
-// The registry is safe for concurrent use: the parallel event
-// dispatcher's shards count into it simultaneously. The mutex covers
-// only the name maps; counters and histograms update with atomics, so
-// the hot increment path takes no lock. Concurrent totals stay
-// deterministic because the committed event set is schedule-independent
-// and addition commutes (histogram buckets likewise: each observation
-// lands in a fixed bucket).
-//
-//mgs:shared
+// A registry belongs to one machine and is not safe for concurrent use.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter     //mgs:guardedby mu
-	gauges   map[string]func() int64 //mgs:guardedby mu
-	hists    map[string]*Histogram   //mgs:guardedby mu
+	counters map[string]*Counter
+	gauges   map[string]func() int64
+	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -40,31 +29,27 @@ func NewRegistry() *Registry {
 }
 
 // Counter is a monotonically growing event count.
-//
-//mgs:shared
 type Counter struct {
-	v int64 //mgs:atomic
+	v int64
 }
 
 // Add increments the counter.
 //
 //mgs:noalloc
-func (c *Counter) Add(delta int64) { atomic.AddInt64(&c.v, delta) }
+func (c *Counter) Add(delta int64) { c.v += delta }
 
 // Value reads the counter.
 //
 //mgs:noalloc
-func (c *Counter) Value() int64 { return atomic.LoadInt64(&c.v) }
+func (c *Counter) Value() int64 { return c.v }
 
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
 	}
-	r.mu.Unlock()
 	return c
 }
 
@@ -75,11 +60,7 @@ func (r *Registry) Add(name string, delta int64) { r.Counter(name).Add(delta) }
 // registry is snapshotted, so subsystems expose live state (directory
 // sizes, hit totals, TLB occupancy) without double bookkeeping.
 // Re-registering a name replaces the reader.
-func (r *Registry) Gauge(name string, fn func() int64) {
-	r.mu.Lock()
-	r.gauges[name] = fn
-	r.mu.Unlock()
-}
+func (r *Registry) Gauge(name string, fn func() int64) { r.gauges[name] = fn }
 
 // TimeBuckets is the fixed virtual-time histogram layout: roughly
 // logarithmic from a cache hit to a long protocol round, in cycles.
@@ -91,35 +72,30 @@ var TimeBuckets = []int64{
 
 // Histogram counts observations into fixed buckets. Bounds[i] is the
 // inclusive upper edge of bucket i; one extra bucket holds overflows.
-//
-//mgs:shared
 type Histogram struct {
-	// bounds is fixed at registration and read-only afterwards: it
-	// deliberately carries no annotation, so any post-construction write
-	// trips the unannotated-shared-field check.
-	bounds []int64
-	counts []int64 //mgs:atomic
-	sum    int64   //mgs:atomic
-	n      int64   //mgs:atomic
+	bounds []int64 // fixed at registration, read-only afterwards
+	counts []int64
+	sum    int64
+	n      int64
 }
 
 // Observe records one value.
 //
 //mgs:noalloc
 func (h *Histogram) Observe(v int64) {
-	atomic.AddInt64(&h.n, 1)
-	atomic.AddInt64(&h.sum, v)
+	h.n++
+	h.sum += v
 	for i, b := range h.bounds {
 		if v <= b {
-			atomic.AddInt64(&h.counts[i], 1)
+			h.counts[i]++
 			return
 		}
 	}
-	atomic.AddInt64(&h.counts[len(h.bounds)], 1)
+	h.counts[len(h.bounds)]++
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return atomic.LoadInt64(&h.n) }
+func (h *Histogram) Count() int64 { return h.n }
 
 // Quantile returns a bucket-interpolated estimate of the p-quantile
 // (0 < p <= 1) of the observed distribution: the target rank p·n is
@@ -128,10 +104,9 @@ func (h *Histogram) Count() int64 { return atomic.LoadInt64(&h.n) }
 // observations are uniform within each bucket. Ranks that land in the
 // unbounded overflow bucket clamp to the last finite bound (the
 // estimate cannot exceed the layout's range); an empty histogram
-// reports 0. Safe to call concurrently with Observe — the estimate is
-// computed from one atomic pass over the buckets.
+// reports 0.
 func (h *Histogram) Quantile(p float64) float64 {
-	n := atomic.LoadInt64(&h.n)
+	n := h.n
 	if n == 0 {
 		return 0
 	}
@@ -144,7 +119,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 	var cum int64
 	lo := int64(0)
 	for i, b := range h.bounds {
-		c := atomic.LoadInt64(&h.counts[i])
+		c := h.counts[i]
 		if c > 0 && float64(cum+c) >= rank {
 			frac := (rank - float64(cum)) / float64(c)
 			if frac < 0 {
@@ -159,7 +134,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 }
 
 // Sum returns the sum of observed values.
-func (h *Histogram) Sum() int64 { return atomic.LoadInt64(&h.sum) }
+func (h *Histogram) Sum() int64 { return h.sum }
 
 // Buckets returns the bucket upper bounds and per-bucket counts (the
 // last count is the overflow bucket). The returned slices are live;
@@ -170,7 +145,6 @@ func (h *Histogram) Buckets() (bounds, counts []int64) { return h.bounds, h.coun
 // given bucket bounds; bounds are fixed at first registration and nil
 // means TimeBuckets.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
-	r.mu.Lock()
 	h, ok := r.hists[name]
 	if !ok {
 		if bounds == nil {
@@ -179,7 +153,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		h = &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
 		r.hists[name] = h
 	}
-	r.mu.Unlock()
 	return h
 }
 
@@ -237,63 +210,43 @@ func (m Metric) String() string {
 // histograms, each group sorted by name — a deterministic, stable
 // ordering for goldens and CSVs.
 func (r *Registry) Snapshot() []Metric {
-	r.mu.Lock()
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for _, n := range names {
+	// Names are fixed before any gauge reader runs: a reader may
+	// register metrics, and those belong to the next snapshot.
+	counters, gauges, hists := sortedKeys(r.counters), sortedKeys(r.gauges), sortedKeys(r.hists)
+	out := make([]Metric, 0, len(counters)+len(gauges)+len(hists))
+	for _, n := range counters {
 		out = append(out, Metric{Name: n, Kind: CounterKind, Value: r.counters[n].Value()})
 	}
-	names = names[:0]
-	var gnames []string
-	for n := range r.gauges {
-		gnames = append(gnames, n)
+	for _, n := range gauges {
+		out = append(out, Metric{Name: n, Kind: GaugeKind, Value: r.gauges[n]()})
 	}
-	sort.Strings(gnames)
-	gauges := make([]func() int64, len(gnames))
-	for i, n := range gnames {
-		gauges[i] = r.gauges[n]
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	hists := make([]*Histogram, len(names))
-	for i, n := range names {
-		hists[i] = r.hists[n]
-	}
-	r.mu.Unlock()
-	// Gauge readers run outside the lock: they may re-enter the registry
-	// (e.g. a gauge aggregating counters).
-	for i, n := range gnames {
-		out = append(out, Metric{Name: n, Kind: GaugeKind, Value: gauges[i]()})
-	}
-	for i, n := range names {
-		h := hists[i]
-		counts := make([]int64, len(h.counts))
-		for j := range h.counts {
-			counts[j] = atomic.LoadInt64(&h.counts[j])
-		}
+	for _, n := range hists {
+		h := r.hists[n]
 		out = append(out, Metric{
 			Name: n, Kind: HistogramKind, Value: h.Count(), Sum: h.Sum(),
-			Bounds: h.bounds, Counts: counts,
+			Bounds: h.bounds, Counts: append([]int64(nil), h.counts...),
 		})
 	}
 	return out
 }
 
+// sortedKeys returns m's names in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // CounterStrings renders just the counters as sorted "name=value"
 // lines — the legacy Collector.Counters shape.
 func (r *Registry) CounterStrings() []string {
-	r.mu.Lock()
 	out := make([]string, 0, len(r.counters))
 	for k, v := range r.counters {
 		out = append(out, fmt.Sprintf("%s=%d", k, v.Value()))
 	}
-	r.mu.Unlock()
 	sort.Strings(out)
 	return out
 }

@@ -267,7 +267,7 @@ func TestObserverProfilerLifecycle(t *testing.T) {
 }
 
 // TestMetricHotPathZeroAllocs pins the //mgs:noalloc contract of the
-// concurrent counting paths the parallel dispatcher's shards hit.
+// counting paths every simulated event may hit.
 func TestMetricHotPathZeroAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits")

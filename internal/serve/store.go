@@ -60,13 +60,10 @@ func DefaultCosts() Costs { return Costs{Parse: 150, PerRecord: 40} }
 
 // Store is the placed table: all fields are fixed at Place time and
 // read-only afterwards, so any shard may serve any key.
-//
-//mgs:shared
 type Store struct {
 	// nKeys and recWords describe the table; keysPerShard and
 	// pagesPerShard the block mapping; base the first record's address.
-	// All set by Place, never written after construction (shardsafe
-	// rejects any later write).
+	// All set by Place, never written after construction.
 	nKeys         int
 	shards        int
 	keysPerShard  int

@@ -84,25 +84,7 @@ func (e *Engine) AtChoice(t Time, l Label, fn func()) {
 	}
 	e.seq++
 	lab := l
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn, label: &lab, pin: -1})
-}
-
-// AtChoiceSend is AtSend with a choice label: the pinned counterpart of
-// AtChoice. With no Chooser installed, or with an empty label, it is
-// exactly AtSend (and therefore parallelizable); with a chooser armed
-// the run is sequential by construction and the labeled event joins the
-// choice set like AtChoice's.
-func (e *Engine) AtChoiceSend(l Label, src, dst *Proc, t Time, fn func()) {
-	if e.chooser == nil || l.Kind == "" {
-		e.AtSend(src, dst, t, fn)
-		return
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	lab := l
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn, label: &lab, pin: int32(dst.ID)})
+	e.queue.Push(event{t: t, seq: e.seq, fn: fn, label: &lab})
 }
 
 // next returns the event to dispatch. On the nil-chooser path this is

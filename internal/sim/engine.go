@@ -21,13 +21,10 @@
 // Ties in virtual time break by scheduling order, so the simulation is
 // a total order over events.
 //
-// Parallel dispatch. Parallelize arms a windowed parallel mode
-// (parallel.go): events pinned to processors are sharded per SSMP and
-// shards advance concurrently inside conservative lookahead windows,
-// with a deterministic merge at every window edge that reconstructs the
-// sequential engine's exact (time, seq) dispatch order. The sequential
-// loop below remains the reference path and is what runs whenever the
-// parallel mode is unarmed or ineligible.
+// An Engine and everything scheduled on it belong to one simulated
+// machine and are driven by one goroutine; none of it is safe for
+// concurrent use. Parallelism lives one level up, across independent
+// machines (harness.RunIndexed).
 package sim
 
 import (
@@ -50,10 +47,6 @@ type Engine struct {
 	stopped bool
 	stopErr error
 
-	// par, when non-nil, holds the armed parallel-dispatch configuration
-	// (Parallelize). Run decides per run whether it is eligible.
-	par *parEngine
-
 	// chooser, when non-nil, arbitrates ready labeled events (model
 	// checking; see chooser.go). choiceIdx/choiceBuf are its reusable
 	// scratch buffers.
@@ -74,53 +67,12 @@ func (e *Engine) Now() Time { return e.now }
 // At schedules fn to run in engine context at absolute time t. If t is
 // in the past it runs at the current time (still strictly after all
 // already-scheduled events for that time).
-//
-// At-scheduled events carry no processor pin, so a run containing them
-// cannot be parallelized (Run falls back to the sequential dispatcher).
-// Simulation code that may run under Parallelize must use AtOn/AtSend.
 func (e *Engine) At(t Time, fn func()) {
-	if e.par != nil && e.par.active {
-		panic("sim: unpinned At while the parallel dispatcher is live; use AtOn or AtSend")
-	}
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn, pin: -1})
-}
-
-// AtOn schedules fn at absolute time t, pinned to processor p: the
-// event models work happening on p's SSMP, and the caller asserts it is
-// scheduling from that same SSMP's execution context (a body or event
-// of p's shard). On the sequential path this is exactly At.
-func (e *Engine) AtOn(p *Proc, t Time, fn func()) {
-	if e.par != nil && e.par.active {
-		e.par.schedule(p, p, t, fn)
-		return
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn, pin: int32(p.ID)})
-}
-
-// AtSend schedules fn at absolute time t pinned to processor dst, from
-// the execution context of processor src — the cross-shard scheduling
-// primitive (message deliveries). The parallel dispatcher requires
-// t - (src's current shard time) >= the configured lookahead whenever
-// src and dst live on different shards; message latencies guarantee
-// this by construction. On the sequential path this is exactly At.
-func (e *Engine) AtSend(src, dst *Proc, t Time, fn func()) {
-	if e.par != nil && e.par.active {
-		e.par.schedule(src, dst, t, fn)
-		return
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn, pin: int32(dst.ID)})
+	e.queue.Push(event{t: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d cycles from now.
@@ -132,34 +84,23 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 func (e *Engine) Dispatched() int64 { return e.dispatched }
 
 // Stop aborts the run after the current event completes. Run returns
-// err. From code that may execute under the parallel dispatcher, use
-// StopOn instead so the abort carries its shard context.
+// err.
 func (e *Engine) Stop(err error) {
 	e.stopped = true
 	e.stopErr = err
 }
 
-// StopOn aborts the run from the execution context of processor p. On
-// the sequential path it is exactly Stop; under the parallel dispatcher
-// the stop is recorded against p's shard and the earliest stop in the
-// sequential dispatch order wins at the next window edge, so the
-// returned error is identical to the sequential run's.
-func (e *Engine) StopOn(p *Proc, err error) {
-	if e.par != nil && e.par.active {
-		e.par.stopOn(p, err)
-		return
-	}
-	e.Stop(err)
-}
+// Parallelized always reports false: the engine has a single,
+// sequential dispatcher.
+//
+// Deprecated: kept only because the frozen perfbench module reads it.
+func (e *Engine) Parallelized() bool { return false }
 
 // Run dispatches events in time order until the queue drains or Stop is
 // called. It returns an error if any Proc is still parked or unfinished
 // when the queue drains (a simulated deadlock), with a diagnostic
 // listing the stuck processors.
 func (e *Engine) Run() error {
-	if e.par != nil && e.par.eligible(e) {
-		return e.runParallel()
-	}
 	for e.queue.Len() > 0 && !e.stopped {
 		ev := e.next()
 		// A chooser may dispatch a later-scheduled delivery ahead of an
@@ -174,12 +115,6 @@ func (e *Engine) Run() error {
 	if e.stopped {
 		return e.stopErr
 	}
-	return e.deadlockCheck()
-}
-
-// deadlockCheck reports the stuck-processor diagnostic shared by both
-// dispatchers.
-func (e *Engine) deadlockCheck() error {
 	var stuck []string
 	for _, p := range e.procs {
 		if p.state != stateDone {

@@ -9,11 +9,6 @@ type event struct {
 	seq   uint64
 	fn    func()
 	label *Label
-	// pin is the processor the event is pinned to (AtOn/AtSend), or -1
-	// for an unpinned At event. The sequential dispatcher ignores it;
-	// the parallel dispatcher routes by it and refuses runs containing
-	// unpinned events.
-	pin int32
 }
 
 // eventQueue is a binary min-heap ordered by (t, seq). It is hand-rolled

@@ -59,7 +59,7 @@ func (e *Engine) NewProc(id int, start Time, body func(p *Proc)) *Proc {
 	})
 	p.resume = func() { next() }
 	e.procs = append(e.procs, p)
-	e.AtOn(p, start, p.resume)
+	e.At(start, p.resume)
 	return p
 }
 
@@ -114,7 +114,7 @@ func (p *Proc) Sleep(d Time) {
 	p.clock += d + p.debt
 	p.debt = 0
 	p.state = stateSleep
-	p.eng.AtOn(p, p.clock, p.resume)
+	p.eng.At(p.clock, p.resume)
 	p.block()
 }
 
@@ -142,7 +142,7 @@ func (p *Proc) Wake(t Time) {
 		panic(fmt.Sprintf("sim: Wake of proc %d in state %s", p.ID, p.state))
 	}
 	p.wakeAt = t
-	p.eng.AtOn(p, t, p.resume)
+	p.eng.At(t, p.resume)
 }
 
 // block switches from the body back to the dispatcher whose event

@@ -68,8 +68,8 @@ type Addr = vm.Addr
 type Time = sim.Time
 
 // Topology is a pluggable inter-SSMP interconnect: a routing function
-// over directed links with per-link latency and bandwidth, plus a
-// conservative parallel-engine lookahead. See WithTopology.
+// over directed links with per-link latency and bandwidth, plus its
+// minimum cross-SSMP latency (Lookahead). See WithTopology.
 type Topology = msg.Topology
 
 // NewUniform returns the paper's uniform fixed-delay LAN topology (the
