@@ -127,41 +127,31 @@ func BenchmarkFig12WaterKernel(b *testing.B) {
 	b.ReportMetric(float64(plain[0].Res.Cycles)/float64(tiled[0].Res.Cycles), "tiled-speedup-C1")
 }
 
-// BenchmarkAblationSingleWriter quantifies the single-writer
-// optimization (§3.1.1) on Water.
-func BenchmarkAblationSingleWriter(b *testing.B) {
+// benchOnOff runs the named exp.OnOffAblations entry on Water and
+// reports each cluster size's changed/base cycle ratio as C<c>-<ratio>.
+func benchOnOff(b *testing.B, kind, ratio string) {
 	p, mk := scale()
-	var on, off []harness.SweepPoint
+	var base, changed []harness.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		on, off, err = exp.AblationSingleWriter("water", p, mk)
+		base, changed, err = exp.AblationOnOff("water", p, exp.OnOffAblations[kind].Change, mk)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for i := range on {
-		b.ReportMetric(float64(off[i].Res.Cycles)/float64(on[i].Res.Cycles),
-			fmt.Sprintf("C%d-off/on", on[i].C))
+	for i := range base {
+		b.ReportMetric(float64(changed[i].Res.Cycles)/float64(base[i].Res.Cycles),
+			fmt.Sprintf("C%d-%s", base[i].C, ratio))
 	}
 }
 
+// BenchmarkAblationSingleWriter quantifies the single-writer
+// optimization (§3.1.1) on Water.
+func BenchmarkAblationSingleWriter(b *testing.B) { benchOnOff(b, "1writer", "off/on") }
+
 // BenchmarkAblationSerialInv compares serial and parallel release-round
 // invalidations.
-func BenchmarkAblationSerialInv(b *testing.B) {
-	p, mk := scale()
-	var serial, par []harness.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		serial, par, err = exp.AblationSerialInv("water", p, mk)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := range serial {
-		b.ReportMetric(float64(serial[i].Res.Cycles)/float64(par[i].Res.Cycles),
-			fmt.Sprintf("C%d-serial/par", serial[i].C))
-	}
-}
+func BenchmarkAblationSerialInv(b *testing.B) { benchOnOff(b, "serialinv", "par/serial") }
 
 // BenchmarkAblationPageSize sweeps the coherence grain (§2.2) for TSP,
 // whose false sharing makes it grain sensitive.
@@ -200,58 +190,16 @@ func BenchmarkExtLU(b *testing.B) {
 // BenchmarkAblationUpdateProtocol compares invalidate-based release
 // rounds (the paper's eager protocol) with the update-based variant its
 // related work discusses (Galactica Net).
-func BenchmarkAblationUpdateProtocol(b *testing.B) {
-	p, mk := scale()
-	var inval, update []harness.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		inval, update, err = exp.AblationUpdateProtocol("water", p, mk)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := range inval {
-		b.ReportMetric(float64(update[i].Res.Cycles)/float64(inval[i].Res.Cycles),
-			fmt.Sprintf("C%d-upd/inv", inval[i].C))
-	}
-}
+func BenchmarkAblationUpdateProtocol(b *testing.B) { benchOnOff(b, "update", "upd/inv") }
 
 // BenchmarkAblationMesh compares the paper's uniform fixed-delay
 // inter-SSMP LAN against the contended 2D-mesh topology extension, at a
 // per-hop latency chosen so the mean uncontended mesh latency matches
 // the uniform delay (isolating non-uniformity and link contention).
-func BenchmarkAblationMesh(b *testing.B) {
-	p, mk := scale()
-	var uniform, mesh []harness.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		uniform, mesh, err = exp.AblationMesh("water", p, 250, mk)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := range uniform {
-		b.ReportMetric(float64(mesh[i].Res.Cycles)/float64(uniform[i].Res.Cycles),
-			fmt.Sprintf("C%d-mesh/uniform", uniform[i].C))
-	}
-}
+func BenchmarkAblationMesh(b *testing.B) { benchOnOff(b, "mesh", "mesh/uniform") }
 
 // BenchmarkAblationLazy compares the paper's eager release consistency
 // with the TreadMarks-style lazy variant its related work discusses:
 // releases stop invalidating remote copies; lock grants and barrier
 // exits validate the acquiring SSMP against home versions instead.
-func BenchmarkAblationLazy(b *testing.B) {
-	p, mk := scale()
-	var eager, lazy []harness.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		eager, lazy, err = exp.AblationLazy("water", p, mk)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := range eager {
-		b.ReportMetric(float64(lazy[i].Res.Cycles)/float64(eager[i].Res.Cycles),
-			fmt.Sprintf("C%d-lazy/eager", eager[i].C))
-	}
-}
+func BenchmarkAblationLazy(b *testing.B) { benchOnOff(b, "lazy", "lazy/eager") }

@@ -9,7 +9,7 @@
 //	mgs-sweep -app water            one figure sweep (6-10)
 //	mgs-sweep -fig11
 //	mgs-sweep -fig12
-//	mgs-sweep -ablation 1writer|serialinv [-app water]
+//	mgs-sweep -ablation 1writer|serialinv|update|lazy|mesh [-app water]
 //	mgs-sweep -ablation pagesize   [-app tsp] [-c 4]
 //
 // Common flags: -p 32, -small (reduced sizes), -all (figures 6-12),
@@ -193,53 +193,25 @@ func runAblation(kind, app string, p, c int, mk func(string) harness.App) {
 	if app == "" {
 		app = "water"
 	}
-	switch kind {
-	case "1writer":
-		on, off, err := exp.AblationSingleWriter(app, p, mk)
+	if ab, ok := exp.OnOffAblations[kind]; ok {
+		base, changed, err := exp.AblationOnOff(app, p, ab.Change, mk)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("single-writer optimization ablation, %s (P=%d)\n", app, p)
-		printOnOff("with", on, "without", off)
-	case "serialinv":
-		serial, par, err := exp.AblationSerialInv(app, p, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("serial vs parallel invalidation ablation, %s (P=%d)\n", app, p)
-		printOnOff("serial", serial, "parallel", par)
-	case "update":
-		inval, update, err := exp.AblationUpdateProtocol(app, p, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("invalidate vs update protocol ablation, %s (P=%d)\n", app, p)
-		printOnOff("invalidate", inval, "update", update)
-	case "lazy":
-		eager, lazy, err := exp.AblationLazy(app, p, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("eager vs lazy release consistency, %s (P=%d)\n", app, p)
-		printOnOff("eager", eager, "lazy", lazy)
-	case "mesh":
-		uniform, mesh, err := exp.AblationMesh(app, p, 250, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("uniform LAN vs contended 2D-mesh interconnect, %s (P=%d)\n", app, p)
-		printOnOff("uniform", uniform, "mesh", mesh)
-	case "pagesize":
-		pts, err := exp.AblationPageSize(app, p, c, []int{256, 512, 1024, 2048, 4096}, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("page size ablation, %s (P=%d, C=%d)\n", app, p, c)
-		for _, pt := range pts {
-			fmt.Printf("  %5dB pages: %12d cycles\n", pt.PageSize, pt.Cycles)
-		}
-	default:
+		fmt.Printf("%s, %s (P=%d)\n", ab.Title, app, p)
+		printOnOff(ab.Base, base, ab.Changed, changed)
+		return
+	}
+	if kind != "pagesize" {
 		log.Fatalf("unknown ablation %q", kind)
+	}
+	pts, err := exp.AblationPageSize(app, p, c, []int{256, 512, 1024, 2048, 4096}, mk)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("page size ablation, %s (P=%d, C=%d)\n", app, p, c)
+	for _, pt := range pts {
+		fmt.Printf("  %5dB pages: %12d cycles\n", pt.PageSize, pt.Cycles)
 	}
 }
 

@@ -335,24 +335,22 @@ func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector
 		}
 		s.ssmps = append(s.ssmps, ss)
 	}
-	if reg := st.Registry(); reg != nil {
-		tlbs := s.tlbs
-		reg.Gauge("tlb.fills", func() int64 {
-			var n int64
-			for _, t := range tlbs {
-				n += t.Fills
-			}
-			return n
-		})
-		reg.Gauge("tlb.evictions", func() int64 {
-			var n int64
-			for _, t := range tlbs {
-				n += t.Evictions
-			}
-			return n
-		})
-		reg.Gauge("engine.dispatched", eng.Dispatched)
-	}
+	reg, tlbs := st.Registry(), s.tlbs
+	reg.Gauge("tlb.fills", func() int64 {
+		var n int64
+		for _, t := range tlbs {
+			n += t.Fills
+		}
+		return n
+	})
+	reg.Gauge("tlb.evictions", func() int64 {
+		var n int64
+		for _, t := range tlbs {
+			n += t.Evictions
+		}
+		return n
+	})
+	reg.Gauge("engine.dispatched", eng.Dispatched)
 	return s
 }
 

@@ -68,7 +68,6 @@ func chaosTraceRun(t *testing.T, name string, p, c int, plan fault.Plan) (harnes
 	if err := app.Verify(m); err != nil {
 		t.Fatalf("%s verify: %v", name, err)
 	}
-	res.Fault = m.Stats.Fault
 	return res, b.String()
 }
 

@@ -213,44 +213,6 @@ func Fig12(p, n int) (plain, tiled []harness.SweepPoint, err error) {
 	return plain, tiled, nil
 }
 
-// AblationSingleWriter sweeps the named app with the single-writer
-// optimization on and off (§3.1.1).
-func AblationSingleWriter(name string, p int, mk func(string) harness.App) (on, off []harness.SweepPoint, err error) {
-	cfgFor := func(enabled bool) func(c int) harness.Config {
-		return func(c int) harness.Config {
-			cfg := Config(p, c)
-			cfg.Protocol.SingleWriter = enabled
-			return cfg
-		}
-	}
-	cs := harness.PowersOfTwo(p / 2) // software region only
-	on, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	if err != nil {
-		return nil, nil, err
-	}
-	off, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
-	return on, off, err
-}
-
-// AblationSerialInv sweeps with serial versus parallel release-round
-// invalidations.
-func AblationSerialInv(name string, p int, mk func(string) harness.App) (serial, parallel []harness.SweepPoint, err error) {
-	cfgFor := func(enabled bool) func(c int) harness.Config {
-		return func(c int) harness.Config {
-			cfg := Config(p, c)
-			cfg.Protocol.SerialInv = enabled
-			return cfg
-		}
-	}
-	cs := harness.PowersOfTwo(p / 2)
-	serial, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	if err != nil {
-		return nil, nil, err
-	}
-	parallel, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
-	return serial, parallel, err
-}
-
 // PageSizePoint is one page-size ablation sample.
 type PageSizePoint struct {
 	PageSize int
@@ -280,69 +242,65 @@ func AblationPageSize(name string, p, c int, sizes []int, mk func(string) harnes
 	return out, nil
 }
 
-// AblationMesh sweeps the named app under the paper's uniform
-// fixed-delay inter-SSMP LAN versus the contended 2D-mesh topology
-// extension (internal/msg mesh.go). perHop is the mesh's per-hop
-// latency in cycles; 250 makes the average uncontended mesh latency at
-// C=1, P=32 (a 6×6 grid, ~4 mean hops) comparable to the paper's
-// 1000-cycle uniform delay, isolating the effect of non-uniformity and
-// link contention.
-func AblationMesh(name string, p int, perHop sim.Time, mk func(string) harness.App) (uniform, mesh []harness.SweepPoint, err error) {
-	cfgFor := func(useMesh bool) func(c int) harness.Config {
+// OnOffAblation is one design ablation: a configuration change swept
+// against the default configuration (DESIGN.md's ablations).
+type OnOffAblation struct {
+	// Title heads the mgs-sweep report.
+	Title string
+	// Base and Changed label the default and the changed sweep.
+	Base, Changed string
+	// Change turns the default configuration into the ablated one.
+	Change func(cfg *harness.Config)
+}
+
+// OnOffAblations are the on/off ablations by mgs-sweep -ablation name.
+var OnOffAblations = map[string]OnOffAblation{
+	// The paper's single-writer optimization (§3.1.1).
+	"1writer": {"single-writer optimization ablation", "with", "without",
+		func(cfg *harness.Config) { cfg.Protocol.SingleWriter = false }},
+	// Serial versus parallel release-round invalidations.
+	"serialinv": {"serial vs parallel invalidation ablation", "serial", "parallel",
+		func(cfg *harness.Config) { cfg.Protocol.SerialInv = false }},
+	// Invalidate-based (the paper's) versus update-based (Galactica
+	// Net-style) release rounds.
+	"update": {"invalidate vs update protocol ablation", "invalidate", "update",
+		func(cfg *harness.Config) { cfg.Protocol.UpdateProtocol = true }},
+	// The paper's eager release consistency versus the TreadMarks-style
+	// lazy variant (the §6 comparison): releases stop invalidating,
+	// acquires validate instead.
+	"lazy": {"eager vs lazy release consistency", "eager", "lazy",
+		func(cfg *harness.Config) { cfg.Protocol.LazyRelease = true }},
+	// The paper's uniform fixed-delay inter-SSMP LAN versus the
+	// contended 2D-mesh topology extension (internal/msg mesh.go). A
+	// 250-cycle hop makes the average uncontended mesh latency at C=1,
+	// P=32 (a 6×6 grid, ~4 mean hops) comparable to the paper's
+	// 1000-cycle uniform delay, isolating the effect of non-uniformity
+	// and link contention.
+	"mesh": {"uniform LAN vs contended 2D-mesh interconnect", "uniform", "mesh",
+		func(cfg *harness.Config) {
+			cfg.Msg.Topology = msg.NewMesh2D()
+			cfg.Msg.InterPerHop = 250
+		}},
+}
+
+// AblationOnOff sweeps the named app over the software region's
+// cluster sizes twice: with the default configuration (base) and with
+// change applied to it (changed).
+func AblationOnOff(name string, p int, change func(cfg *harness.Config), mk func(string) harness.App) (base, changed []harness.SweepPoint, err error) {
+	cfgFor := func(apply bool) func(c int) harness.Config {
 		return func(c int) harness.Config {
 			cfg := Config(p, c)
-			if useMesh {
-				cfg.Msg.Topology = msg.NewMesh2D()
-				cfg.Msg.InterPerHop = perHop
+			if apply {
+				change(&cfg)
 			}
 			return cfg
 		}
 	}
-	cs := harness.PowersOfTwo(p / 2)
-	uniform, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
+	cs := harness.PowersOfTwo(p / 2) // software region only
+	base, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
 	if err != nil {
 		return nil, nil, err
 	}
-	mesh, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	return uniform, mesh, err
-}
-
-// AblationUpdateProtocol sweeps the named app under invalidate-based
-// (the paper's) versus update-based (Galactica Net-style) release
-// rounds.
-func AblationUpdateProtocol(name string, p int, mk func(string) harness.App) (inval, update []harness.SweepPoint, err error) {
-	cfgFor := func(upd bool) func(c int) harness.Config {
-		return func(c int) harness.Config {
-			cfg := Config(p, c)
-			cfg.Protocol.UpdateProtocol = upd
-			return cfg
-		}
-	}
-	cs := harness.PowersOfTwo(p / 2)
-	inval, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
-	if err != nil {
-		return nil, nil, err
-	}
-	update, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	return inval, update, err
-}
-
-// AblationLazy sweeps the named app under the paper's eager release
-// consistency versus the TreadMarks-style lazy variant (the §6
-// comparison): releases stop invalidating, acquires validate instead.
-func AblationLazy(name string, p int, mk func(string) harness.App) (eager, lazy []harness.SweepPoint, err error) {
-	cfgFor := func(lz bool) func(c int) harness.Config {
-		return func(c int) harness.Config {
-			cfg := Config(p, c)
-			cfg.Protocol.LazyRelease = lz
-			return cfg
-		}
-	}
-	cs := harness.PowersOfTwo(p / 2)
-	eager, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
-	if err != nil {
-		return nil, nil, err
-	}
-	lazy, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	return eager, lazy, err
+	changed, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
+	return base, changed, err
 }

@@ -87,13 +87,59 @@ func TestFig12Small(t *testing.T) {
 	}
 }
 
-func TestAblationSingleWriterSmall(t *testing.T) {
-	on, off, err := AblationSingleWriter("water", 4, SmallApp)
-	if err != nil {
-		t.Fatal(err)
+// TestAblationOnOffSmall runs every on/off ablation at P=4 (C=1 and
+// C=2) and checks the shape each one is known for.
+func TestAblationOnOffSmall(t *testing.T) {
+	rows := []struct {
+		kind, app string
+		// check compares the default (base) and changed runs at one C.
+		check func(t *testing.T, base, changed harness.SweepPoint)
+	}{
+		{"1writer", "water", nil},
+		{"serialinv", "water", func(t *testing.T, serial, par harness.SweepPoint) {
+			// Serializing invalidations can never beat overlapping them.
+			if serial.Res.Cycles < par.Res.Cycles {
+				t.Errorf("C=%d: serial (%d) faster than parallel (%d)",
+					serial.C, serial.Res.Cycles, par.Res.Cycles)
+			}
+		}},
+		{"update", "water", nil},
+		{"mesh", "jacobi", func(t *testing.T, uniform, mesh harness.SweepPoint) {
+			if mesh.Res.Cycles == uniform.Res.Cycles {
+				t.Errorf("C=%d: mesh timing identical to uniform (%d); topology had no effect",
+					mesh.C, mesh.Res.Cycles)
+			}
+		}},
+		{"lazy", "water", func(t *testing.T, eager, lazy harness.SweepPoint) {
+			// Water's migratory locking is lazy's best case: it must win at C=1.
+			if lazy.C == 1 && lazy.Res.Cycles >= eager.Res.Cycles {
+				t.Errorf("C=1: lazy (%d) not faster than eager (%d)",
+					lazy.Res.Cycles, eager.Res.Cycles)
+			}
+		}},
 	}
-	if len(on) != len(off) {
-		t.Fatalf("point count mismatch")
+	for _, row := range rows {
+		t.Run(row.kind, func(t *testing.T) {
+			base, changed, err := AblationOnOff(row.app, 4, OnOffAblations[row.kind].Change, SmallApp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base) != 2 || len(changed) != 2 {
+				t.Fatalf("point counts = %d/%d, want 2/2", len(base), len(changed))
+			}
+			for i := range base {
+				if base[i].C != changed[i].C || base[i].Res.Cycles <= 0 || changed[i].Res.Cycles <= 0 {
+					t.Fatalf("point %d: base C=%d %d cycles, changed C=%d %d cycles",
+						i, base[i].C, base[i].Res.Cycles, changed[i].C, changed[i].Res.Cycles)
+				}
+				if row.check != nil {
+					row.check(t, base[i], changed[i])
+				}
+			}
+		})
+	}
+	if len(rows) != len(OnOffAblations) {
+		t.Errorf("%d rows for %d ablations", len(rows), len(OnOffAblations))
 	}
 }
 
@@ -124,54 +170,6 @@ func (*nilApp) Setup(*harness.Machine)        {}
 func (*nilApp) Body(*harness.Ctx)             {}
 func (*nilApp) Verify(*harness.Machine) error { return nil }
 
-func TestAblationSerialInvSmall(t *testing.T) {
-	serial, par, err := AblationSerialInv("water", 4, SmallApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(par) || len(serial) != 2 {
-		t.Fatalf("point counts = %d/%d, want 2/2", len(serial), len(par))
-	}
-	for i := range serial {
-		// Serializing invalidations can never beat overlapping them.
-		if serial[i].Res.Cycles < par[i].Res.Cycles {
-			t.Errorf("C=%d: serial (%d) faster than parallel (%d)",
-				serial[i].C, serial[i].Res.Cycles, par[i].Res.Cycles)
-		}
-	}
-}
-
-func TestAblationUpdateProtocolSmall(t *testing.T) {
-	inval, update, err := AblationUpdateProtocol("water", 4, SmallApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inval) != len(update) {
-		t.Fatal("point count mismatch")
-	}
-	for i := range inval {
-		if update[i].Res.Cycles <= 0 || inval[i].Res.Cycles <= 0 {
-			t.Fatalf("C=%d: zero-cycle run", inval[i].C)
-		}
-	}
-}
-
-func TestAblationMeshSmall(t *testing.T) {
-	uniform, mesh, err := AblationMesh("jacobi", 4, 250, SmallApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(uniform) != len(mesh) || len(uniform) != 2 {
-		t.Fatalf("point counts = %d/%d, want 2/2", len(uniform), len(mesh))
-	}
-	for i := range uniform {
-		if mesh[i].Res.Cycles == uniform[i].Res.Cycles {
-			t.Errorf("C=%d: mesh timing identical to uniform (%d); topology had no effect",
-				mesh[i].C, mesh[i].Res.Cycles)
-		}
-	}
-}
-
 func TestFrameworkPointsMatchSweep(t *testing.T) {
 	points, _, err := FigureSweep("matmul", 4, SmallApp)
 	if err != nil {
@@ -195,21 +193,6 @@ func TestUnknownAppPanics(t *testing.T) {
 		}
 	}()
 	NewApp("no-such-app")
-}
-
-func TestAblationLazySmall(t *testing.T) {
-	eager, lazy, err := AblationLazy("water", 4, SmallApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eager) != len(lazy) || len(eager) != 2 {
-		t.Fatalf("point counts = %d/%d, want 2/2", len(eager), len(lazy))
-	}
-	// Water's migratory locking is lazy's best case: it must win at C=1.
-	if lazy[0].Res.Cycles >= eager[0].Res.Cycles {
-		t.Errorf("C=1: lazy (%d) not faster than eager (%d)",
-			lazy[0].Res.Cycles, eager[0].Res.Cycles)
-	}
 }
 
 // TestHeadlineShapes pins the qualitative results the reproduction is

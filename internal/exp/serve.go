@@ -51,12 +51,13 @@ func ServeRunBreakdown(w serve.Workload, p, c int, plan fault.Plan, slo serve.SL
 		return serve.Report{}, nil, err
 	}
 	rep := app.Report(res, slo)
-	bd := &serve.CostBreakdown{TransportCycles: res.Fault.RecoveryCycles}
-	for _, row := range o.Profiler().Totals() {
-		bd.UserCycles += int64(row[stats.User])
-		bd.LockCycles += int64(row[stats.Lock])
-		bd.BarrierCycles += int64(row[stats.Barrier])
-		bd.ProtocolCycles += int64(row[stats.MGS])
+	tot := res.Breakdown.Total
+	bd := &serve.CostBreakdown{
+		UserCycles:      int64(tot[stats.User]),
+		LockCycles:      int64(tot[stats.Lock]),
+		BarrierCycles:   int64(tot[stats.Barrier]),
+		ProtocolCycles:  int64(tot[stats.MGS]),
+		TransportCycles: res.Fault.RecoveryCycles,
 	}
 	if rep.Requests > 0 {
 		bd.PerRequestCycles = float64(bd.LockCycles+bd.BarrierCycles+

@@ -181,14 +181,14 @@ func NewMachine(cfg Config) *Machine {
 		}))
 	}
 	m.Net = msg.NewNetwork(m.Eng, m.Procs, cfg.C, cfg.Msg)
-	m.Stats = stats.NewCollector(cfg.P)
+	// The collector is built with the observability spine before the
+	// subsystems construct, so their gauges and histograms register on
+	// the observer's registry.
+	m.Stats = stats.NewCollector(cfg.P, cfg.Obs)
 	st := m.Stats
-	// Attach the observability spine before the subsystems construct, so
-	// their gauges and histograms register on the observer's registry
-	// and the profiler (if armed) sees every charge from cycle zero.
-	st.Use(cfg.Obs)
 	m.Net.OnHandler = func(proc int, cyc sim.Time) { st.Charge(proc, stats.MGS, cyc) }
-	m.Net.AttachFault(cfg.Fault, &st.Fault)
+	m.Net.AttachFault(cfg.Fault)
+	m.Net.RegisterFaultGauges(st.Registry())
 	m.Net.Obs = cfg.Obs
 	space := vm.NewSpace(cfg.PageSize, cfg.P)
 	m.DSM = core.New(m.Eng, m.Net, space, st, m.Procs, core.Config{
@@ -278,7 +278,7 @@ type Result struct {
 	Counters []string
 	// Fault is the fault-injection transport's accounting (all zeros on
 	// fault-free runs).
-	Fault stats.Fault
+	Fault msg.Fault
 }
 
 // Run executes body on every processor and collects the result. A
@@ -311,7 +311,7 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 		LinkWait:   m.Net.Counters.LinkWaitCycles,
 		Dir:        m.DSM.DirectoryStats(),
 		Counters:   m.Stats.Counters(),
-		Fault:      m.Stats.Fault,
+		Fault:      m.Net.Fault,
 	}, nil
 }
 

@@ -530,7 +530,7 @@ func intrinsicSink(f *types.Func) (string, bool) {
 		return "the committed event order (Engine." + f.Name() + ")", true
 	case isMethodOn(f, "msg", "Network", "Send", "Extend"):
 		return "message timing (Network." + f.Name() + ")", true
-	case isMethodOn(f, "stats", "Collector", "Charge", "ChargeMode", "Count"):
+	case isMethodOn(f, "stats", "Collector", "Charge", "Count"):
 		return "cost accounting (stats.Collector." + f.Name() + ", lands in BENCH/CSV output)", true
 	case isMethodOn(f, "obs", "Counter", "Add"),
 		isMethodOn(f, "obs", "Gauge", "Set"),

@@ -127,6 +127,9 @@ type Network struct {
 	Obs *obs.Observer
 
 	Counters Counters
+	// Fault is the fault transport's accounting (reliable.go), all
+	// zeros while no fault plan is attached.
+	Fault Fault
 }
 
 // NewNetwork builds the network for nprocs processors grouped into SSMPs

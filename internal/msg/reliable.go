@@ -6,7 +6,6 @@ import (
 	"mgs/internal/fault"
 	"mgs/internal/obs"
 	"mgs/internal/sim"
-	"mgs/internal/stats"
 )
 
 // Reliable transport over a faulty inter-SSMP network (extension).
@@ -35,6 +34,68 @@ import (
 //
 // Intra-SSMP messages model Alewife's hardware mesh and stay perfectly
 // reliable; only the LAN between SSMPs misbehaves.
+
+// Fault is the fault-injection transport's accounting view: what the
+// deterministic fault plan did to inter-SSMP traffic and what the
+// recovery machinery paid to survive it. All zeros when no fault plan
+// is attached.
+type Fault struct {
+	// Messages is the number of logical inter-SSMP messages that
+	// traversed the fault layer (retransmissions excluded).
+	Messages int64
+	// Dropped counts transmission attempts lost in the network.
+	Dropped int64
+	// Duplicated counts attempts the network delivered twice.
+	Duplicated int64
+	// Delayed counts attempts held beyond their fault-free latency.
+	Delayed int64
+	// DupSuppressed counts deliveries the receiver's sequence check
+	// recognized as replays and dropped before handler dispatch.
+	DupSuppressed int64
+	// Timeouts counts retransmission timers that fired unacknowledged.
+	Timeouts int64
+	// Retransmits counts retransmission attempts launched (equal to
+	// Timeouts today; kept separate so a future fast-retransmit path
+	// stays accountable).
+	Retransmits int64
+	// RetransBytes is the payload bytes carried by retransmissions.
+	RetransBytes int64
+	// Acks counts transport-level acknowledgments generated; AckDropped
+	// of them were lost (forcing a timeout at the sender).
+	Acks, AckDropped int64
+	// DelayCycles sums the extra wire latency the plan injected.
+	DelayCycles int64
+	// RecoveryCycles sums, over delivered messages, the gap between the
+	// fault-free arrival estimate and the actual first delivery — the
+	// added protocol cycles paid to timeouts, backoff, and delays.
+	RecoveryCycles int64
+}
+
+// Active reports whether any fault-layer activity was recorded.
+func (f Fault) Active() bool { return f.Messages != 0 }
+
+// String renders the view in one line.
+func (f Fault) String() string {
+	return fmt.Sprintf(
+		"msgs=%d dropped=%d dup=%d delayed=%d dupsuppressed=%d timeouts=%d retrans=%d retransbytes=%d acks=%d ackdropped=%d delaycycles=%d recoverycycles=%d",
+		f.Messages, f.Dropped, f.Duplicated, f.Delayed, f.DupSuppressed,
+		f.Timeouts, f.Retransmits, f.RetransBytes, f.Acks, f.AckDropped,
+		f.DelayCycles, f.RecoveryCycles)
+}
+
+// RegisterFaultGauges exposes the network's Fault view on reg as
+// fault.* gauges, read live at snapshot time.
+func (n *Network) RegisterFaultGauges(reg *obs.Registry) {
+	f := &n.Fault
+	reg.Gauge("fault.msgs", func() int64 { return f.Messages })
+	reg.Gauge("fault.dropped", func() int64 { return f.Dropped })
+	reg.Gauge("fault.duplicated", func() int64 { return f.Duplicated })
+	reg.Gauge("fault.delayed", func() int64 { return f.Delayed })
+	reg.Gauge("fault.dupsuppressed", func() int64 { return f.DupSuppressed })
+	reg.Gauge("fault.timeouts", func() int64 { return f.Timeouts })
+	reg.Gauge("fault.retransmits", func() int64 { return f.Retransmits })
+	reg.Gauge("fault.recoverycycles", func() int64 { return f.RecoveryCycles })
+}
 
 // chanKey names a directed transport channel between two processors.
 type chanKey struct{ from, to int }
@@ -97,21 +158,19 @@ type pending struct {
 type injector struct {
 	net  *Network
 	plan fault.Plan
-	fs   *stats.Fault
 
 	chans map[chanKey]*chanState
 }
 
 // AttachFault interposes the fault-injecting reliable transport on all
-// inter-SSMP messages, recording its accounting in fs (which must not
-// be nil — the harness passes &Collector.Fault). Zero-valued transport
-// parameters in Costs take the Default* values.
+// inter-SSMP messages, recording its accounting in n.Fault. Zero-valued
+// transport parameters in Costs take the Default* values.
 //
 // An empty plan detaches: the transport elides sequence numbers, acks,
 // and timers entirely, making the run byte-identical to one with no
 // fault layer. This is the zero-fault equivalence contract the chaos
 // harness verifies.
-func (n *Network) AttachFault(plan fault.Plan, fs *stats.Fault) {
+func (n *Network) AttachFault(plan fault.Plan) {
 	if plan.Empty() {
 		n.inj = nil
 		return
@@ -131,7 +190,7 @@ func (n *Network) AttachFault(plan fault.Plan, fs *stats.Fault) {
 	if n.costs.RetryLimit <= 0 {
 		n.costs.RetryLimit = DefaultRetryLimit
 	}
-	n.inj = &injector{net: n, plan: plan, fs: fs, chans: make(map[chanKey]*chanState)}
+	n.inj = &injector{net: n, plan: plan, chans: make(map[chanKey]*chanState)}
 }
 
 // FaultPlan returns the attached plan (empty if none).
@@ -197,7 +256,7 @@ func (in *injector) send(from, to int, when sim.Time, bytes int, extra sim.Time,
 		ackStream: in.plan.Stream(id | 1<<63),
 		rto:       in.net.costs.RetryTimeout,
 	}
-	in.fs.Messages++
+	in.net.Fault.Messages++
 	in.attempt(m, when)
 }
 
@@ -224,17 +283,17 @@ func (in *injector) attempt(m *pending, when sim.Time) {
 	f := in.plan.NextAttempt(&m.stream)
 	switch {
 	case f.Drop:
-		in.fs.Dropped++
+		in.net.Fault.Dropped++
 		in.emit(when, "DROP", m.key.from, m.key.to, m.seq, m.id, "attempt=%d", m.attempts)
 	default:
 		if f.Extra > 0 {
-			in.fs.Delayed++
-			in.fs.DelayCycles += int64(f.Extra)
+			in.net.Fault.Delayed++
+			in.net.Fault.DelayCycles += int64(f.Extra)
 			in.emit(when, "DELAY", m.key.from, m.key.to, m.seq, m.id, "extra=%d attempt=%d", f.Extra, m.attempts)
 		}
 		in.deliverAt(m, arrive+f.Extra)
 		if f.Dup {
-			in.fs.Duplicated++
+			in.net.Fault.Duplicated++
 			in.emit(when, "DUP", m.key.from, m.key.to, m.seq, m.id, "lag=%d attempt=%d", f.DupExtra, m.attempts)
 			in.deliverAt(m, arrive+f.Extra+f.DupExtra)
 		}
@@ -251,9 +310,9 @@ func (in *injector) attempt(m *pending, when sim.Time) {
 		if m.acked {
 			return
 		}
-		in.fs.Timeouts++
-		in.fs.Retransmits++
-		in.fs.RetransBytes += int64(m.bytes)
+		in.net.Fault.Timeouts++
+		in.net.Fault.Retransmits++
+		in.net.Fault.RetransBytes += int64(m.bytes)
 		n.chargeHandler(m.key.from, n.costs.RetransmitWork)
 		in.emit(fire, "TIMEOUT", m.key.from, m.key.to, m.seq, m.id, "rto=%d -> RETRANSMIT attempt=%d", fire-when, m.attempts+1)
 		in.attempt(m, fire)
@@ -271,12 +330,12 @@ func (in *injector) deliverAt(m *pending, arrive sim.Time) {
 	n.eng.At(arrive, func() {
 		cs := in.chanOf(m.key)
 		if cs.seen(m.seq) {
-			in.fs.DupSuppressed++
+			in.net.Fault.DupSuppressed++
 			in.emit(arrive, "DUPDROP", m.key.from, m.key.to, m.seq, m.id, "(already delivered)")
 		} else {
 			cs.mark(m.seq)
 			if arrive > m.firstEst {
-				in.fs.RecoveryCycles += int64(arrive - m.firstEst)
+				in.net.Fault.RecoveryCycles += int64(arrive - m.firstEst)
 			}
 			cost := n.costs.HandlerEntry + m.extra
 			start := dst.HandlerStart(arrive, cost)
@@ -295,9 +354,9 @@ func (in *injector) deliverAt(m *pending, arrive sim.Time) {
 // retransmission (suppressed at the receiver) provokes a fresh ack.
 func (in *injector) sendAck(m *pending, at sim.Time) {
 	n := in.net
-	in.fs.Acks++
+	in.net.Fault.Acks++
 	if in.plan.AckDropped(&m.ackStream) {
-		in.fs.AckDropped++
+		in.net.Fault.AckDropped++
 		in.emit(at, "ACKDROP", m.key.to, m.key.from, m.seq, m.id, "")
 		return
 	}

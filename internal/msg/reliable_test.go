@@ -6,16 +6,14 @@ import (
 	"mgs/internal/fault"
 	"mgs/internal/obs"
 	"mgs/internal/sim"
-	"mgs/internal/stats"
 )
 
 // buildFaulty is build() with a fault plan attached.
-func buildFaulty(t *testing.T, plan fault.Plan) (*sim.Engine, *Network, []*sim.Proc, *stats.Fault) {
+func buildFaulty(t *testing.T, plan fault.Plan) (*sim.Engine, *Network, []*sim.Proc, *Fault) {
 	t.Helper()
 	eng, n, procs := build(t)
-	var fs stats.Fault
-	n.AttachFault(plan, &fs)
-	return eng, n, procs, &fs
+	n.AttachFault(plan)
+	return eng, n, procs, &n.Fault
 }
 
 // Under heavy loss every logical message must still be delivered
@@ -101,8 +99,7 @@ func TestAttachEmptyPlanIsIdentity(t *testing.T) {
 	run := func(attach bool) []sim.Time {
 		eng, n, procs := build(t)
 		if attach {
-			var fs stats.Fault
-			n.AttachFault(fault.Plan{Seed: 123}, &fs)
+			n.AttachFault(fault.Plan{Seed: 123})
 		}
 		var arrivals []sim.Time
 		for i := 0; i < 10; i++ {
@@ -122,7 +119,7 @@ func TestAttachEmptyPlanIsIdentity(t *testing.T) {
 // The whole transport must be deterministic: identical (plan, traffic)
 // gives identical delivery times, counters, and trace streams.
 func TestReliableDeterministic(t *testing.T) {
-	run := func() ([]sim.Time, stats.Fault, []string) {
+	run := func() ([]sim.Time, Fault, []string) {
 		eng, n, _, fs := buildFaulty(t, fault.Plan{Seed: 9, DropBP: 2000, DupBP: 500, DelayBP: 1500, MaxDelay: 700})
 		var traces []string
 		n.Obs = obs.New().AddSink(obs.FuncSink(func(e obs.Event) { traces = append(traces, e.String()) }))

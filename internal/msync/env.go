@@ -40,16 +40,12 @@ func (e algoEnv) ChargeBarrier(p *sim.Proc, cycles sim.Time) {
 
 func (e algoEnv) LockWaited(p *sim.Proc, waited sim.Time) {
 	e.m.st.Charge(p.ID, stats.Lock, waited)
-	if e.m.lockWait != nil {
-		e.m.lockWait.Observe(int64(waited))
-	}
+	e.m.lockWait.Observe(int64(waited))
 }
 
 func (e algoEnv) BarrierWaited(p *sim.Proc, waited sim.Time) {
 	e.m.st.Charge(p.ID, stats.Barrier, waited)
-	if e.m.barrierWait != nil {
-		e.m.barrierWait.Observe(int64(waited))
-	}
+	e.m.barrierWait.Observe(int64(waited))
 }
 
 func (e algoEnv) CountCS(held sim.Time) {

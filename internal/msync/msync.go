@@ -82,12 +82,11 @@ func New(eng *sim.Engine, dsm *core.System, net *msg.Network, st *stats.Collecto
 		p: cfg.NProcs, c: cfg.ClusterSize, lockAlgo: la, barrierAlgo: ba,
 		locks: make(map[int]algo.Lock), barriers: make(map[int]algo.Barrier),
 	}
-	if reg := st.Registry(); reg != nil {
-		m.lockWait = reg.Histogram("lock.waitcycles", nil)
-		m.barrierWait = reg.Histogram("barrier.waitcycles", nil)
-		reg.Gauge("lock.hits", func() int64 { h, _ := m.LockStats(); return h })
-		reg.Gauge("lock.total", func() int64 { _, t := m.LockStats(); return t })
-	}
+	reg := st.Registry()
+	m.lockWait = reg.Histogram("lock.waitcycles", nil)
+	m.barrierWait = reg.Histogram("barrier.waitcycles", nil)
+	reg.Gauge("lock.hits", func() int64 { h, _ := m.LockStats(); return h })
+	reg.Gauge("lock.total", func() int64 { _, t := m.LockStats(); return t })
 	return m
 }
 

@@ -42,7 +42,7 @@ func buildTestWith(p, c int, delay sim.Time, la algo.LockAlgo, ba algo.BarrierAl
 	}
 	mc := msg.Costs{SendOverhead: 40, HandlerEntry: 100, PerHop: 2, BytesPerCycle: 1, InterDelay: delay, InterOverhead: 100}
 	net := msg.NewNetwork(eng, tm.procs, c, mc)
-	st := stats.NewCollector(p)
+	st := stats.NewCollector(p, nil)
 	net.OnHandler = func(proc int, cyc sim.Time) { st.Charge(proc, stats.MGS, cyc) }
 	space := vm.NewSpace(1024, p)
 	cfg := core.Config{

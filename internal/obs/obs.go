@@ -13,15 +13,17 @@
 //   - a metrics registry (Registry): named counters, gauges, and
 //     virtual-time histograms with fixed bucket layouts, so that two
 //     runs of one simulation snapshot identically. internal/stats,
-//     internal/msync, and the fault transport register here instead of
-//     hand-rolling counter fields.
+//     internal/core, internal/msync, and the fault transport register
+//     here instead of hand-rolling counter fields.
 //
-//   - a cycle-attribution profiler (Profiler): every simulated cycle a
-//     run charges is attributed to a (processor, component, object)
-//     key, where the object is the page, lock, or barrier the cycles
-//     were spent on. The profiler emits per-page heat reports and
-//     collapsed-stack files for flamegraph tooling, and its totals
-//     reconcile exactly with the stats breakdown.
+//   - a cycle store (Profiler): every simulated cycle a run charges is
+//     stored once, in a (processor, object) row under its runtime
+//     component, where the object is the page, lock, or barrier the
+//     cycles were spent on. The stats breakdown is the store's
+//     per-processor view. With profiling enabled the store tracks
+//     objects and emits per-page heat reports and collapsed-stack
+//     files for flamegraph tooling; with it off, each processor has
+//     one row.
 //
 // Determinism contract: obs code runs on the simulated path (sinks fire
 // from engine context), so everything here is deterministic — virtual
@@ -58,9 +60,9 @@ func (o *Observer) AddSink(s Sink) *Observer {
 	return o
 }
 
-// EnableProfiling arms the cycle-attribution profiler; the machine the
-// observer is attached to sizes and creates it (InitProfiler). Returns
-// the observer (chainable).
+// EnableProfiling turns on object attribution in the cycle store of the
+// machine the observer is attached to (NewProfiler), and makes that
+// store the observer's Profiler. Returns the observer (chainable).
 func (o *Observer) EnableProfiling() *Observer {
 	o.profile = true
 	return o
@@ -87,22 +89,8 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// InitProfiler creates the profiler for a machine of nprocs processors
-// and ncomp attribution components, if profiling was enabled. It
-// returns the profiler (nil when profiling is off or o is nil). Calling
-// it twice returns the first profiler — an observer watches one
-// machine.
-func (o *Observer) InitProfiler(nprocs, ncomp int) *Profiler {
-	if o == nil || !o.profile {
-		return nil
-	}
-	if o.prof == nil {
-		o.prof = NewProfiler(nprocs, ncomp)
-	}
-	return o.prof
-}
-
-// Profiler returns the profiler created by InitProfiler, or nil.
+// Profiler returns the cycle store of the machine the observer
+// watches, or nil when profiling is off.
 func (o *Observer) Profiler() *Profiler {
 	if o == nil {
 		return nil

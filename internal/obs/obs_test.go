@@ -17,7 +17,8 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if o.Registry() != nil {
 		t.Fatal("nil observer has a registry")
 	}
-	if o.Profiler() != nil || o.InitProfiler(4, 4) != nil {
+	NewProfiler(4, 4, o)
+	if o.Profiler() != nil {
 		t.Fatal("nil observer has a profiler")
 	}
 	if o.Metrics() != nil {
@@ -119,7 +120,7 @@ func TestHistogram(t *testing.T) {
 }
 
 func TestProfilerAttributionAndReconciliation(t *testing.T) {
-	p := NewProfiler(2, 4)
+	p := NewProfiler(2, 4, New().EnableProfiling())
 	// proc 0 works on page 7 in comp 3, then lock 1 in comp 1.
 	k, id := p.SetContext(0, ObjPage, 7)
 	if k != ObjNone || id != 0 {
@@ -146,9 +147,15 @@ func TestProfilerAttributionAndReconciliation(t *testing.T) {
 		t.Fatalf("sample 2: %+v", samples[2])
 	}
 
-	tot := p.Totals()
-	if tot[0][3] != 150 || tot[0][1] != 30 || tot[0][0] != 5 || tot[1][0] != 7 {
-		t.Fatalf("totals: %+v", tot)
+	// The rows sum per processor to what the samples say.
+	var tot [2][4]sim.Time
+	p.EachRow(func(proc int, _ ObjKind, _ int64, cycles []sim.Time) {
+		for c, v := range cycles {
+			tot[proc][c] += v
+		}
+	})
+	if tot != [2][4]sim.Time{{5, 30, 0, 150}, {7, 0, 0, 0}} {
+		t.Fatalf("row totals: %+v", tot)
 	}
 
 	heat := p.Heat(ObjPage)
@@ -175,7 +182,7 @@ func TestProfilerAttributionAndReconciliation(t *testing.T) {
 }
 
 func TestProfilerHeatOrdering(t *testing.T) {
-	p := NewProfiler(1, 1)
+	p := NewProfiler(1, 1, New().EnableProfiling())
 	p.SetContext(0, ObjPage, 3)
 	p.Charge(0, 0, 10)
 	p.SetContext(0, ObjPage, 1)
@@ -250,19 +257,29 @@ func TestTextSink(t *testing.T) {
 
 func TestObserverProfilerLifecycle(t *testing.T) {
 	o := New()
-	if o.InitProfiler(2, 4) != nil {
-		t.Fatal("profiler created without EnableProfiling")
+	off := NewProfiler(2, 4, o)
+	if o.Profiler() != nil {
+		t.Fatal("store published without EnableProfiling")
 	}
+	// With profiling off, object contexts do not switch rows.
+	if k, _ := off.SetContext(0, ObjPage, 9); k != ObjNone {
+		t.Fatalf("previous context = %v", k)
+	}
+	off.Charge(0, 2, 11)
+	if k, id := off.Context(0); k != ObjNone || id != 0 {
+		t.Fatalf("context switched with profiling off: %v/%d", k, id)
+	}
+	if s := off.Samples(); len(s) != 1 || s[0].Key != (ProfKey{Proc: 0, Comp: 2, Kind: ObjNone}) {
+		t.Fatalf("samples with profiling off: %+v", s)
+	}
+
 	o.EnableProfiling()
-	p := o.InitProfiler(2, 4)
-	if p == nil {
-		t.Fatal("profiler not created")
-	}
-	if o.InitProfiler(8, 8) != p {
-		t.Fatal("second InitProfiler replaced the profiler")
-	}
+	p := NewProfiler(2, 4, o)
 	if o.Profiler() != p {
-		t.Fatal("Profiler() mismatch")
+		t.Fatal("store not published with profiling on")
+	}
+	if NewProfiler(8, 8, o); o.Profiler() != p {
+		t.Fatal("second store replaced the first")
 	}
 }
 

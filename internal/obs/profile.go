@@ -18,40 +18,66 @@ type ProfKey struct {
 	ID   int64
 }
 
-// profCur is one processor's current attribution context plus a
-// per-component cell cache so the hot Charge path is one nil test and
-// one add once a context is warm.
-type profCur struct {
-	kind  ObjKind
-	id    int64
-	cells []*sim.Time // [comp] -> cell for (proc, comp, kind, id)
+// rowKey names one row of the store: a processor and the object its
+// cycles were spent on.
+type rowKey struct {
+	proc int32
+	kind ObjKind
+	id   int64
 }
 
-// Profiler charges every simulated cycle to a (processor, component,
-// object) key. The object context is a per-processor register the
+// profRow is one row of the store: a (processor, object) key and its
+// cycles per component.
+type profRow struct {
+	key    rowKey
+	cycles []sim.Time // [comp]
+}
+
+// Profiler is a machine's cycle store: every simulated cycle the run
+// charges lands in one row, keyed by (processor, object), in the column
+// of its runtime component. The object is a per-processor context the
 // protocol and sync layers set around their work: the page a fault is
 // resolving, the lock being acquired, the barrier being waited on.
-// Cycles charged with no context land on ObjNone.
+// Cycles charged with no context land in the processor's ObjNone row.
 //
-// The profiler's per-(processor, component) totals equal the stats
-// collector's buckets exactly — both are fed by the same Charge calls —
-// which is the reconciliation invariant cmd/mgs-profile asserts.
+// The store is the only record of charged cycles: the stats breakdown
+// is its per-processor view, and Samples, Heat and WriteCollapsed are
+// its per-object views. Object contexts are tracked only when the
+// observer the store was built with has profiling enabled; otherwise
+// SetContext is a no-op and each processor has the one ObjNone row.
 type Profiler struct {
 	ncomp int
-	cur   []profCur
-	cells map[ProfKey]*sim.Time
+	cur   []*profRow // [proc] -> the row Charge adds into
+	rows  []*profRow // every row, in creation order
+	// byKey indexes every row once object contexts are tracked; nil
+	// when they are not.
+	byKey map[rowKey]*profRow
 }
 
-// NewProfiler returns a profiler for nprocs processors and ncomp
-// attribution components.
-func NewProfiler(nprocs, ncomp int) *Profiler {
+// NewProfiler returns the cycle store for a machine of nprocs
+// processors and ncomp attribution components. When o has profiling
+// enabled, the store tracks object contexts and becomes o's Profiler
+// (the first store built with o does: an observer watches one machine).
+func NewProfiler(nprocs, ncomp int, o *Observer) *Profiler {
 	p := &Profiler{
 		ncomp: ncomp,
-		cur:   make([]profCur, nprocs),
-		cells: make(map[ProfKey]*sim.Time),
+		cur:   make([]*profRow, nprocs),
+		rows:  make([]*profRow, nprocs),
 	}
-	for i := range p.cur {
-		p.cur[i].cells = make([]*sim.Time, ncomp)
+	base := make([]profRow, nprocs)
+	cells := make([]sim.Time, nprocs*ncomp)
+	for i := range base {
+		base[i] = profRow{key: rowKey{proc: int32(i)}, cycles: cells[i*ncomp : (i+1)*ncomp : (i+1)*ncomp]}
+		p.cur[i], p.rows[i] = &base[i], &base[i]
+	}
+	if o != nil && o.profile {
+		p.byKey = make(map[rowKey]*profRow, nprocs)
+		for i := range base {
+			p.byKey[base[i].key] = &base[i]
+		}
+		if o.prof == nil {
+			o.prof = p
+		}
 	}
 	return p
 }
@@ -61,40 +87,41 @@ func NewProfiler(nprocs, ncomp int) *Profiler {
 //
 //	k, id := prof.SetContext(p, obs.ObjPage, int64(page))
 //	defer prof.SetContext(p, k, id)
+//
+// It only switches rows when object contexts are tracked.
 func (p *Profiler) SetContext(proc int, kind ObjKind, id int64) (ObjKind, int64) {
-	c := &p.cur[proc]
-	pk, pid := c.kind, c.id
-	if pk == kind && pid == id {
-		return pk, pid
+	prev := p.cur[proc].key
+	if k := (rowKey{proc: int32(proc), kind: kind, id: id}); p.byKey != nil && k != prev {
+		r := p.byKey[k]
+		if r == nil {
+			r = &profRow{key: k, cycles: make([]sim.Time, p.ncomp)}
+			p.byKey[k] = r
+			p.rows = append(p.rows, r)
+		}
+		p.cur[proc] = r
 	}
-	c.kind, c.id = kind, id
-	for i := range c.cells {
-		c.cells[i] = nil
-	}
-	return pk, pid
+	return prev.kind, prev.id
 }
 
 // Context reports processor proc's current attribution object.
 func (p *Profiler) Context(proc int) (ObjKind, int64) {
-	return p.cur[proc].kind, p.cur[proc].id
+	k := p.cur[proc].key
+	return k.kind, k.id
 }
 
-// Charge attributes cycles to (proc, comp) under proc's current object
-// context. It is the profiler's hot path: after the first charge in a
-// context the cost is one slice load and one add.
+// Charge adds cycles to component comp of processor proc's current
+// row. It is every charge site's hot path: one indexed add.
 func (p *Profiler) Charge(proc, comp int, cycles sim.Time) {
-	c := &p.cur[proc]
-	cell := c.cells[comp]
-	if cell == nil {
-		key := ProfKey{Proc: int32(proc), Comp: uint8(comp), Kind: c.kind, ID: c.id}
-		cell = p.cells[key]
-		if cell == nil {
-			cell = new(sim.Time)
-			p.cells[key] = cell
-		}
-		c.cells[comp] = cell
+	p.cur[proc].cycles[comp] += cycles
+}
+
+// EachRow calls f with every row of the store, in creation order. The
+// cycles slice is the row itself, indexed by component; f must not
+// modify it.
+func (p *Profiler) EachRow(f func(proc int, kind ObjKind, id int64, cycles []sim.Time)) {
+	for _, r := range p.rows {
+		f(int(r.key.proc), r.key.kind, r.key.id, r.cycles)
 	}
-	*cell += cycles
 }
 
 // Sample is one attributed cell.
@@ -104,14 +131,21 @@ type Sample struct {
 }
 
 // Samples returns every nonzero cell sorted by (Proc, Comp, Kind, ID) —
-// a deterministic flattening of the attribution map.
+// a deterministic flattening of the store.
 func (p *Profiler) Samples() []Sample {
-	var keys []ProfKey
-	for k := range p.cells {
-		keys = append(keys, k)
+	var out []Sample
+	for _, r := range p.rows {
+		for comp, c := range r.cycles {
+			if c != 0 {
+				out = append(out, Sample{
+					Key:    ProfKey{Proc: r.key.proc, Comp: uint8(comp), Kind: r.key.kind, ID: r.key.id},
+					Cycles: c,
+				})
+			}
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Key, out[j].Key
 		if a.Proc != b.Proc {
 			return a.Proc < b.Proc
 		}
@@ -123,25 +157,6 @@ func (p *Profiler) Samples() []Sample {
 		}
 		return a.ID < b.ID
 	})
-	out := make([]Sample, 0, len(keys))
-	for _, k := range keys {
-		if c := *p.cells[k]; c != 0 {
-			out = append(out, Sample{Key: k, Cycles: c})
-		}
-	}
-	return out
-}
-
-// Totals returns per-(processor, component) cycle totals, the profiler
-// side of the reconciliation against the stats breakdown.
-func (p *Profiler) Totals() [][]sim.Time {
-	out := make([][]sim.Time, len(p.cur))
-	for i := range out {
-		out[i] = make([]sim.Time, p.ncomp)
-	}
-	for _, s := range p.Samples() {
-		out[s.Key.Proc][s.Key.Comp] += s.Cycles
-	}
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"mgs/internal/fault"
+	"mgs/internal/msg"
 	"mgs/internal/obs"
 	"mgs/internal/stats"
 )
@@ -89,9 +90,11 @@ const (
 // a counter, a gauge, or a virtual-time histogram.
 type Metric = obs.Metric
 
-// Profiler attributes every simulated cycle to a (processor,
-// component, object) key. Arm it with Observer.EnableProfiling before
-// building the machine; read it with Observer.Profiler after the run.
+// Profiler is a machine's cycle store: every simulated cycle, by
+// processor, component, and the page, lock, or barrier it was spent on.
+// Turn object attribution on with Observer.EnableProfiling before
+// building the machine; read the store with Observer.Profiler after the
+// run.
 type Profiler = obs.Profiler
 
 // ProfSample is one nonzero profiler cell.
@@ -111,9 +114,10 @@ type FaultPlan = fault.Plan
 // FaultPlan.MaxDelay is zero.
 const DefaultMaxDelay Time = fault.DefaultMaxDelay
 
-// FaultStats is the fault-injection transport's accounting view,
-// reported in Result.Fault (all zeros on fault-free runs).
-type FaultStats = stats.Fault
+// FaultStats is the fault-injection transport's accounting view, kept
+// by the transport that fills it (internal/msg) and reported in
+// Result.Fault (all zeros on fault-free runs).
+type FaultStats = msg.Fault
 
 // Category is one runtime component of the paper's breakdown figures:
 // User, Lock, Barrier, or MGS. Profiler component ordinals index these.
